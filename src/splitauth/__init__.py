@@ -2,7 +2,7 @@
 security analysis.
 
 The pipeline: build a design (cyclic development of base blocks over
-Z_v, or any explicit block list), verify it exhaustively, turn it into
+Z_v, or any explicit block list), verify it exactly, turn it into
 an authentication code whose encoding rules are the blocks, then check
 its security claims (deception probabilities against their exact
 floors, rule-count optimality, and perfect secrecy) with rational
@@ -51,7 +51,6 @@ from .security import (
     analyze,
     deception_bound,
     deception_probability,
-    message_marginal,
     optimality_check,
     perfect_secrecy_check,
     rule_count_floor,
@@ -104,7 +103,6 @@ __all__ = [
     "encode",
     "family_u2",
     "lambda_level",
-    "message_marginal",
     "optimality_check",
     "orbit_of",
     "perfect_secrecy_check",

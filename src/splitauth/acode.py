@@ -11,6 +11,7 @@ rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,7 +74,15 @@ def rule_defects(rules: tuple[Block, ...], v: int) -> list[str]:
 
 
 def _uniform(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, n) for _ in range(n))
+    return (Fraction(1, n),) * n
+
+
+def common_denominator(weights) -> tuple[tuple[int, ...], int]:
+    """Exact rationals as integer numerators over the least common
+    multiple of their denominators."""
+    weights = tuple(weights)
+    den = math.lcm(*{w.denominator for w in weights})
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
 
 
 def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:
@@ -81,8 +90,9 @@ def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:
         raise ValueError(f"{name} has {len(dist)} entries, expected {n}")
     if any(p < 0 for p in dist):
         raise ValueError(f"{name} has a negative entry")
-    if sum(dist) != 1:
-        raise ValueError(f"{name} sums to {sum(dist)}, expected 1")
+    numerators, den = common_denominator(dist)
+    if sum(numerators) != den:
+        raise ValueError(f"{name} sums to {Fraction(sum(numerators), den)}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,7 @@ def code_from_design(
     """Use the blocks of a verified splitting design as encoding rules.
 
     Part s of block e becomes the cell of messages rule e may use for
-    source s.  The design must verify exhaustively as a 2-splitting
+    source s.  The design must verify exactly as a 2-splitting
     design with index 1; anything else is rejected, because the
     security guarantees downstream depend on exactly that structure.
     Distributions default to uniform.

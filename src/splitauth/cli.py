@@ -159,14 +159,17 @@ def _load_design(obj, where: str) -> SplittingDesign:
 def _load_code(obj, where: str) -> SplittingACode:
     """Build a code from JSON.
 
-    Schema and distribution problems are input errors (exit 2); rule
-    sets violating the code invariants are failed claims (exit 1) so
-    that analyzing a damaged code names the broken property.
+    Schema and distribution problems and u or v below 1 are input
+    errors (exit 2); rule sets violating the code invariants are failed
+    claims (exit 1) so that analyzing a damaged code names the broken
+    property.
     """
     if not isinstance(obj, dict):
         raise _InputError(f"{where}: expected a JSON object")
     u = _require_int(obj, "u", where)
     v = _require_int(obj, "v", where)
+    if u < 1 or v < 1:
+        raise _InputError(f"{where}: u and v must be positive")
     rules = _parse_blocks(obj.get("rules"), f"{where}: rules")
     key_dist = (
         _parse_dist(obj["key_dist"], f"{where}: key_dist")
@@ -414,10 +417,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rule"] + [f"s{j}" for j in range(1, code.u + 1)])
-    for i, rule in enumerate(code.rules, start=1):
-        writer.writerow(
-            [f"e{i}"] + ["{" + ",".join(str(m) for m in cell) + "}" for cell in rule]
-        )
+    for i, cells in enumerate(matrix.cells, start=1):
+        writer.writerow([f"e{i}", *cells])
     _emit(buffer.getvalue(), args.out)
     return 0
 
@@ -462,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_develop)
 
     p = sub.add_parser(
-        "verify", help="exhaustively verify a design (or a family, developed first)"
+        "verify", help="verify a design exactly (or a family, developed first)"
     )
     p.add_argument("input", help="design or family JSON path, or - for stdin")
     p.add_argument(

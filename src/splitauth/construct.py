@@ -120,18 +120,16 @@ def orbit_of(block: Block, v: int, base_index: int = 0) -> tuple[OrbitInfo, tupl
     """All distinct translates of a block, in translation order j = 0, 1, ...
 
     Two translates are equal when they have the same parts as an
-    unordered set of point sets.
+    unordered set of point sets.  The shifts that fix the block form a
+    subgroup of Z_v, so the orbit length is the least divisor j of v
+    whose translate equals the block, and translates 0..j-1 are the
+    distinct ones.
     """
-    seen: set[frozenset[frozenset[int]]] = set()
-    blocks: list[Block] = []
-    for j in range(v):
-        translate = translate_block(block, j, v)
-        key = _block_key(translate)
-        if key not in seen:
-            seen.add(key)
-            blocks.append(translate)
-    info = OrbitInfo(base_index=base_index, length=len(blocks), is_full=len(blocks) == v)
-    return info, tuple(blocks)
+    key = _block_key(block)
+    periods = (j for j in range(1, v + 1) if v % j == 0)
+    length = next(j for j in periods if _block_key(translate_block(block, j, v)) == key)
+    blocks = tuple(translate_block(block, j, v) for j in range(length))
+    return OrbitInfo(base_index=base_index, length=length, is_full=length == v), blocks
 
 
 def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:

@@ -47,7 +47,7 @@ class DesignParams:
     def __post_init__(self) -> None:
         for name in ("t", "v", "b", "c", "u", "lam"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.l == -1:
             object.__setattr__(self, "l", self.c * self.u)

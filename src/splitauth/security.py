@@ -1,12 +1,14 @@
 """Exact security analysis of splitting authentication codes.
 
 Everything is computed by exhaustive enumeration over rules, sources
-and message choices, with ``fractions.Fraction`` throughout, so every
-probability is exact.  The threat model is spoofing of order i: the
-opponent observes i messages sent under one rule for i distinct
-sources, then injects a new message, succeeding when the receiver
-accepts it as a source the opponent has not already used.  Order 0 is
-impersonation, order 1 is substitution.
+and message choices.  The distributions are scaled once to integers
+over the least common multiples of their denominators, so masses add
+up as ints and each reported probability is one ``Fraction``.  The
+threat model is spoofing of order i: the opponent observes i messages
+sent under one rule for i distinct sources, then injects a new
+message, succeeding when the receiver accepts it as a source the
+opponent has not already used.  Order 0 is impersonation, order 1 is
+substitution.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
-from .acode import SplittingACode
+from .acode import SplittingACode, common_denominator
 from .params import binomial
 
 
@@ -62,40 +64,69 @@ class SecurityReport:
         return self.posteriors.ok
 
 
-def _joint_and_marginals(
-    code: SplittingACode,
-) -> tuple[dict[tuple[int, int], Fraction], dict[int, Fraction]]:
-    """p(source, message) and p(message) tables under the code's
-    distributions."""
-    joint: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    marginals = {m: Fraction(0) for m in range(1, code.v + 1)}
-    for e in range(1, code.num_rules + 1):
-        p_e = code.key_dist[e - 1]
-        if p_e == 0:
+@dataclass(frozen=True)
+class _Masses:
+    """The code's distributions as integers over common denominators:
+    ``key[e]`` and ``source[s]`` are the probabilities of rule e+1 and
+    source s+1, and ``split[e][s]`` pairs each message of cell (e+1, s+1)
+    with its sending probability, each times its ``*_den``."""
+
+    key: tuple[int, ...]
+    key_den: int
+    source: tuple[int, ...]
+    source_den: int
+    split: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    split_den: int
+
+
+def _masses(code: SplittingACode) -> _Masses:
+    key, key_den = common_denominator(code.key_dist)
+    source, source_den = common_denominator(code.source_dist)
+    if code.split_dist is None:
+        weights, split_den = repeat(1), code.c
+    else:
+        flat, split_den = common_denominator(
+            w for per_source in code.split_dist for ws in per_source for w in ws
+        )
+        weights = iter(flat)
+    # split_dist lists each cell's weights in ascending message order;
+    # zip stops at the end of the cell without taking from ``weights``.
+    split = tuple(
+        tuple(tuple(zip(sorted(cell), weights)) for cell in rule)
+        for rule in code.rules
+    )
+    return _Masses(key, key_den, source, source_den, split, split_den)
+
+
+def _posteriors(code: SplittingACode, masses: _Masses) -> PosteriorTable:
+    joint: dict[tuple[int, int], int] = defaultdict(int)
+    marginals = [0] * (code.v + 1)
+    for k_e, cells in zip(masses.key, masses.split):
+        if not k_e:
             continue
-        for s in range(1, code.u + 1):
-            p_s = code.source_dist[s - 1]
-            if p_s == 0:
+        for s, (w_s, cell) in enumerate(zip(masses.source, cells), start=1):
+            if not w_s:
                 continue
-            for m in code.cell(e, s):
-                mass = p_e * p_s * code.split_weight(e, s, m)
-                joint[(s, m)] += mass
+            for m, w in cell:
+                mass = k_e * w_s * w
+                joint[s, m] += mass
                 marginals[m] += mass
-    return joint, marginals
-
-
-def message_marginal(code: SplittingACode, m: int) -> Fraction:
-    """p(m): the probability that the sender transmits message m."""
-    if not 1 <= m <= code.v:
-        raise ValueError(f"message {m} outside 1..{code.v}")
-    total = Fraction(0)
-    for e in range(1, code.num_rules + 1):
-        p_e = code.key_dist[e - 1]
-        if p_e == 0:
-            continue
-        for s in range(1, code.u + 1):
-            total += p_e * code.source_dist[s - 1] * code.split_weight(e, s, m)
-    return total
+    den = masses.key_den * masses.source_den * masses.split_den
+    priors = {s: code.source_dist[s - 1] for s in range(1, code.u + 1)}
+    unreachable = tuple(m for m in range(1, code.v + 1) if not marginals[m])
+    entries = {
+        (s, m): Fraction(joint[s, m], marginals[m])
+        for m in range(1, code.v + 1)
+        if marginals[m]
+        for s in range(1, code.u + 1)
+    }
+    return PosteriorTable(
+        priors=priors,
+        message_marginals={m: Fraction(n, den) for m, n in enumerate(marginals) if m},
+        entries=entries,
+        unreachable=unreachable,
+        ok=not unreachable and all(p == priors[s] for (s, _), p in entries.items()),
+    )
 
 
 def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
@@ -107,48 +138,45 @@ def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
     the prior; unreachable messages are reported separately as the
     cause.
     """
-    joint, marginals = _joint_and_marginals(code)
-    priors = {s: code.source_dist[s - 1] for s in range(1, code.u + 1)}
-    entries: dict[tuple[int, int], Fraction] = {}
-    unreachable: list[int] = []
-    ok = True
-    for m in range(1, code.v + 1):
-        if marginals[m] == 0:
-            unreachable.append(m)
-            ok = False
-            continue
-        for s in range(1, code.u + 1):
-            post = joint[(s, m)] / marginals[m]
-            entries[(s, m)] = post
-            if post != priors[s]:
-                ok = False
-    return PosteriorTable(
-        priors=priors,
-        message_marginals=marginals,
-        entries=entries,
-        unreachable=tuple(unreachable),
-        ok=ok,
-    )
+    return _posteriors(code, _masses(code))
 
 
-def _source_subset_dist(
-    code: SplittingACode, i: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Distribution of which i distinct sources the opponent observes.
+def _deception(code: SplittingACode, masses: _Masses, i: int) -> Fraction:
+    """Spoofing of order i; see :func:`deception_probability`.
 
-    Source order and repeats are ignored, so a particular i-subset
-    occurs with probability proportional to the product of its source
-    probabilities.
+    An i-subset of sources is observed with probability proportional to
+    the product of its source probabilities, so transcript masses are
+    integers over key_den * (sum of subset weights) * split_den^i.
     """
-    subsets = list(combinations(range(1, code.u + 1), i))
-    weights = [
-        math.prod((code.source_dist[s - 1] for s in subset), start=Fraction(1))
-        for subset in subsets
+    subsets = [
+        (sources, math.prod(masses.source[s - 1] for s in sources))
+        for sources in combinations(range(1, code.u + 1), i)
     ]
-    total = sum(weights)
+    total = sum(w for _, w in subsets)
     if total == 0:
         raise ValueError(f"no {i}-subset of sources has positive probability")
-    return {subset: w / total for subset, w in zip(subsets, weights) if w > 0}
+    success = defaultdict(lambda: defaultdict(int))  # observed set -> message -> gain
+    for k_e, cells in zip(masses.key, masses.split):
+        if not k_e:
+            continue
+        for sources, w_sub in subsets:
+            unseen = (cell for s, cell in enumerate(cells, start=1) if s not in sources)
+            targets = [m for cell in unseen for m, _ in cell]
+            if not w_sub or not targets:
+                continue
+            for picks in product(*(cells[s - 1] for s in sources)):
+                mass = k_e * w_sub
+                for _, w in picks:
+                    mass *= w
+                if not mass:
+                    continue
+                gains = success[frozenset(m for m, _ in picks)]
+                for m2 in targets:
+                    gains[m2] += mass
+    return Fraction(
+        sum(max(gains.values()) for gains in success.values()),
+        masses.key_den * total * masses.split_den**i,
+    )
 
 
 def deception_probability(code: SplittingACode, i: int) -> Fraction:
@@ -161,33 +189,7 @@ def deception_probability(code: SplittingACode, i: int) -> Fraction:
     """
     if not 0 <= i <= code.u:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.u}")
-    subset_dist = _source_subset_dist(code, i)
-    success: dict[frozenset[int], dict[int, Fraction]] = defaultdict(
-        lambda: defaultdict(Fraction)
-    )
-    for e in range(1, code.num_rules + 1):
-        p_e = code.key_dist[e - 1]
-        if p_e == 0:
-            continue
-        decode_map = {
-            m: s for s, cell in enumerate(code.rules[e - 1], start=1) for m in cell
-        }
-        for sources, p_sub in subset_dist.items():
-            for picks in product(*(code.cell(e, s) for s in sources)):
-                mass = p_e * p_sub
-                for s, m in zip(sources, picks):
-                    mass *= code.split_weight(e, s, m)
-                if mass == 0:
-                    continue
-                observed = frozenset(picks)
-                gains = success[observed]
-                for m2, s2 in decode_map.items():
-                    if m2 not in observed and s2 not in sources:
-                        gains[m2] += mass
-    return sum(
-        (max(gains.values()) for gains in success.values() if gains),
-        start=Fraction(0),
-    )
+    return _deception(code, _masses(code), i)
 
 
 def deception_bound(code: SplittingACode, i: int) -> Fraction:
@@ -197,20 +199,19 @@ def deception_bound(code: SplittingACode, i: int) -> Fraction:
     observations rule out at most i * max_s |e(s)| of them, so guessing
     uniformly among the rest succeeds with probability at least
     (|M(e)| - i * max_s |e(s)|) / (v - i); the floor is the minimum
-    over rules in use.  For a c-splitting code it is c*(u-i)/(v-i).
+    over rules in use.  Every rule of a code has u cells of the common
+    size c, so that minimum is c*(u-i)/(v-i).
     """
     if not 0 <= i < code.v:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.v - 1}")
-    best: Fraction | None = None
-    for rule, p_e in zip(code.rules, code.key_dist):
-        if p_e == 0:
-            continue
-        accepted = sum(len(cell) for cell in rule)
-        widest = max(len(cell) for cell in rule)
-        value = Fraction(accepted - i * widest, code.v - i)
-        best = value if best is None else min(best, value)
-    assert best is not None  # key_dist sums to 1, so some rule is in use
-    return best
+    return Fraction(code.c * (code.u - i), code.v - i)
+
+
+def _level(code: SplittingACode, deception, i_max: int) -> int:
+    """Largest L <= i_max with ``deception(i)`` equal to the floor at
+    every order 0..L, asking for no order past the first miss."""
+    misses = (i for i in range(i_max + 1) if deception(i) != deception_bound(code, i))
+    return next(misses, i_max + 1) - 1
 
 
 def security_level(code: SplittingACode, i_max: int | None = None) -> int:
@@ -224,28 +225,21 @@ def security_level(code: SplittingACode, i_max: int | None = None) -> int:
         i_max = code.u - 1
     if i_max > code.u:
         raise ValueError(f"i_max={i_max} exceeds source count u={code.u}")
-    level = -1
-    for i in range(0, i_max + 1):
-        if deception_probability(code, i) != deception_bound(code, i):
-            break
-        level = i
-    return level
+    masses = _masses(code)
+    return _level(code, lambda i: _deception(code, masses, i), i_max)
 
 
 def optimality_check(code: SplittingACode, t: int) -> bool | None:
     """Whether the code has the fewest rules possible for strength t.
 
-    A c-splitting code that resists spoofing of every order below t
-    needs at least C(v, t) / (c^t * C(u, t)) encoding rules.  Returns
-    equality with that floor, or None when the precondition fails (the
-    code is not (t-1)-fold secure, so the floor does not apply).
+    Returns equality with :func:`rule_count_floor`, or None when the
+    precondition fails (the code is not (t-1)-fold secure, so the floor
+    does not apply).
     """
-    if not 1 <= t <= code.u:
-        raise ValueError(f"strength t={t} out of range 1..{code.u}")
+    floor = rule_count_floor(code, t)
     if security_level(code, i_max=t - 1) < t - 1:
         return None
-    floor = Fraction(binomial(code.v, t), code.c**t * binomial(code.u, t))
-    return Fraction(code.num_rules) == floor
+    return floor == code.num_rules
 
 
 def rule_count_floor(code: SplittingACode, t: int) -> Fraction:
@@ -258,26 +252,25 @@ def rule_count_floor(code: SplittingACode, t: int) -> Fraction:
 
 def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
     """Deception probabilities, floors, security level, rule-count
-    optimality (at strength i_max + 1) and secrecy in one report."""
+    optimality (at strength i_max + 1) and secrecy in one report.
+
+    Every order is computed once, and all of them and the posteriors
+    come from one integer scaling of the code's distributions.
+    """
     if i_max is None:
         i_max = code.u - 1
     if not 0 <= i_max <= code.u:
         raise ValueError(f"i_max={i_max} out of range 0..{code.u}")
-    deception = {i: deception_probability(code, i) for i in range(i_max + 1)}
-    bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
-    level = -1
-    for i in range(i_max + 1):
-        if deception[i] != bounds[i]:
-            break
-        level = i
-    if i_max + 1 <= code.u:
-        optimal = None if level < i_max else optimality_check(code, t=i_max + 1)
-    else:
-        optimal = None
+    masses = _masses(code)
+    deception = {i: _deception(code, masses, i) for i in range(i_max + 1)}
+    level = _level(code, deception.__getitem__, i_max)
+    optimal = None
+    if level == i_max < code.u:
+        optimal = rule_count_floor(code, i_max + 1) == code.num_rules
     return SecurityReport(
         deception=deception,
-        bounds=bounds,
+        bounds={i: deception_bound(code, i) for i in range(i_max + 1)},
         level=level,
         optimal=optimal,
-        posteriors=perfect_secrecy_check(code),
+        posteriors=_posteriors(code, masses),
     )

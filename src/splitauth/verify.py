@@ -1,7 +1,9 @@
-"""Exhaustive verification that a block list is a splitting design.
+"""Exact verification that a block list is a splitting design.
 
-Verification is exact and brute force: every t-subset of points is
-checked against every block.  A block covers a t-subset when each of
+Every block lists the t-subsets it covers and the counts are tallied,
+so the work is bounded by the blocks, not by the C(v, t) subsets of
+the point set: the design holds when all C(v, t) subsets are counted
+and share one count.  A block covers a t-subset when each of
 its points lies in some part of the block and those parts are pairwise
 distinct; two points inside the same part are not covered by it.
 """
@@ -10,20 +12,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .construct import Block, SplittingDesign
-from .params import DesignParams, lambda_level
+from .params import DesignParams, binomial, lambda_level
 
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of exhaustive checking.
+    """Outcome of exact checking.
 
     ``params`` is filled in only when the design verifies; ``defects``
     lists human-readable reasons otherwise, and ``witness`` pins the
     lexicographically first t-subset whose coverage count is off, as
-    (subset, actual count, count of the first subset scanned).
+    (subset, actual count, count of the first subset (1, ..., t)).
     """
 
     ok: bool
@@ -79,11 +81,11 @@ def covered_subsets(block: Block, t: int) -> list[tuple[int, ...]]:
     One covered subset per way of picking t mutually distinct parts and
     one point from each; since parts are disjoint, no subset repeats.
     """
-    out: list[tuple[int, ...]] = []
-    for parts in combinations(block, t):
-        for points in product(*parts):
-            out.append(tuple(sorted(points)))
-    return out
+    return [
+        tuple(sorted(points))
+        for parts in combinations(block, t)
+        for points in product(*parts)
+    ]
 
 
 def count_covering_blocks(design: SplittingDesign, points: tuple[int, ...]) -> int:
@@ -99,11 +101,11 @@ def count_covering_blocks(design: SplittingDesign, points: tuple[int, ...]) -> i
 
 
 def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
-    """Exhaustively test whether ``design`` is a t-splitting design.
+    """Test exactly whether ``design`` is a t-splitting design.
 
-    Checks structure, then counts coverage of every t-subset of 1..v
-    and requires one common value lambda >= 1.  The verified parameters
-    (t, v, b, c, u, lambda) are returned on success.
+    Checks structure, then counts how often each t-subset of 1..v is
+    covered and requires one common value lambda >= 1.  The verified
+    parameters (t, v, b, c, u, lambda) are returned on success.
     """
     if t < 1:
         raise ValueError(f"strength t={t} must be positive")
@@ -113,35 +115,33 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     if t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
 
-    counts: Counter[tuple[int, ...]] = Counter()
-    for block in design.blocks:
-        counts.update(covered_subsets(block, t))
-
-    reference: int | None = None
-    for subset in combinations(range(1, design.v + 1), t):
-        n = counts.get(subset, 0)
-        if reference is None:
-            reference = n
-        elif n != reference:
-            return VerificationResult(
-                ok=False,
-                params=None,
-                defects=(
-                    f"subset {subset} is covered {n} times, "
-                    f"but {tuple(range(1, t + 1))} is covered {reference} times",
-                ),
-                witness=(subset, n, reference),
-            )
-    if not reference:
-        first = tuple(range(1, t + 1))
-        return VerificationResult(
-            ok=False,
-            params=None,
-            defects=(f"subset {first} is covered 0 times",),
-            witness=(first, 0, 0),
-        )
-    params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
-    return VerificationResult(ok=True, params=params)
+    counts = Counter(chain.from_iterable(covered_subsets(b, t) for b in design.blocks))
+    first = tuple(range(1, t + 1))
+    reference = counts[first]
+    if len(counts) == binomial(design.v, t) and len(set(counts.values())) == 1:
+        params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
+        return VerificationResult(ok=True, params=params)
+    # The lexicographically first subset not covered ``reference`` times:
+    # the first covered one if reference is 0, else the first place where
+    # the sorted covered subsets skip a subset or carry another count.
+    subset = min(counts)
+    if reference:
+        every = combinations(range(1, design.v + 1), t)
+        for covered, subset in zip(sorted(counts), every):
+            if covered != subset or counts[subset] != reference:
+                break
+        else:  # zip ends at the last covered subset, before taking from ``every``
+            subset = next(every)
+    n = counts[subset]
+    return VerificationResult(
+        ok=False,
+        params=None,
+        defects=(
+            f"subset {subset} is covered {n} times, "
+            f"but {first} is covered {reference} times",
+        ),
+        witness=(subset, n, reference),
+    )
 
 
 def downgrade_check(design: SplittingDesign, t: int) -> bool:

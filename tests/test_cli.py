@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,17 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "not exact" in err
 
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_nonpositive_sizes_are_malformed(self, field, tmp_path, capsys):
+        obj = {"u": 2, "v": 2, "rules": [[[1], [2]]]}
+        obj[field] = 0
+        target = tmp_path / "empty.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["analyze", str(target)], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "u and v must be positive" in err
+
     def test_bad_distribution_sum(self, table1_code_file, tmp_path, capsys):
         obj = json.loads(table1_code_file.read_text())
         obj["key_dist"] = ["1/9"] * 8 + ["2/9"]
@@ -373,3 +386,41 @@ class TestDemoCommand:
         assert "P_d1 = 1/8 (floor 1/8, met exactly)" in report
         assert "encoding rules: 34, minimum possible: 34, optimal" in report
         assert report.endswith("PASS\n")
+
+
+class TestCostBoundedByInput:
+    """One block on 200,000 points: the work must follow the one block,
+    not the C(v, 2) pairs of the point set."""
+
+    RULE = [[[199999], [200000]]]
+
+    def run_process(self, tmp_path, argv, obj):
+        target = tmp_path / "big.json"
+        target.write_text(json.dumps(obj))
+        return subprocess.run(
+            [sys.executable, "-m", "splitauth", *argv, str(target)],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+
+    def test_verify(self, tmp_path):
+        proc = self.run_process(
+            tmp_path, ["verify"], {"v": 200000, "t": 2, "blocks": self.RULE}
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == (
+            "defect: subset (199999, 200000) is covered 1 times, "
+            "but (1, 2) is covered 0 times\nFAIL\n"
+        )
+
+    def test_analyze(self, tmp_path):
+        proc = self.run_process(
+            tmp_path, ["analyze"], {"u": 2, "v": 200000, "rules": self.RULE}
+        )
+        assert proc.returncode == 1
+        assert (
+            "λ-uniformity: FAIL (subset (199999, 200000) is covered 1 times, "
+            "but (1, 2) is covered 0 times)\n"
+        ) in proc.stdout
+        assert proc.stdout.endswith("FAIL\n")

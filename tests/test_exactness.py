@@ -1,0 +1,232 @@
+"""The counting engine against the direct reference implementations.
+
+Every comparison is exact equality of the returned objects: the same
+Fractions, the same witness triples, the same defect text, the same
+blocks in the same order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from splitauth import (
+    BaseBlockFamily,
+    CongruenceCase,
+    SplittingACode,
+    SplittingDesign,
+    analyze,
+    congruence_condition,
+    deception_probability,
+    develop_cyclic,
+    family_u2,
+    optimality_check,
+    orbit_of,
+    perfect_secrecy_check,
+    security_level,
+    verify_design,
+)
+
+
+def outcome(f, *args):
+    """A call's value, or its ValueError text, so that failures compare
+    too."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _normalize(weights: list[int]) -> tuple[Fraction, ...]:
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+def _weights(n: int):
+    """n rational weights summing to 1, zeros allowed."""
+    drawn = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    return drawn.map(_normalize)
+
+
+def _weights_or_uniform(n: int):
+    return st.one_of(st.just(()), _weights(n))
+
+
+@st.composite
+def small_codes(draw) -> SplittingACode:
+    u = draw(st.sampled_from((2, 3)))
+    c = draw(st.sampled_from((1, 2)))
+    v = draw(st.integers(c * u, c * u + 4))
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        points = draw(st.permutations(range(1, v + 1)))[: c * u]
+        rules.append(tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u)))
+    split = None
+    if draw(st.booleans()):
+        split = tuple(tuple(draw(_weights(c)) for _ in range(u)) for _ in rules)
+    return SplittingACode(
+        u=u,
+        v=v,
+        rules=tuple(rules),
+        key_dist=draw(_weights_or_uniform(len(rules))),
+        source_dist=draw(_weights_or_uniform(u)),
+        split_dist=split,
+    )
+
+
+class TestSecurityAgainstReference:
+    @given(code=small_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_every_order(self, code):
+        for i in range(code.u + 1):
+            assert outcome(deception_probability, code, i) == outcome(
+                reference.deception_probability, code, i
+            )
+
+    @given(code=small_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_reports(self, code):
+        for i_max in range(code.u + 1):
+            assert outcome(analyze, code, i_max) == outcome(
+                reference.analyze, code, i_max
+            )
+
+    @given(code=small_codes())
+    @settings(max_examples=100, deadline=None)
+    def test_level_and_optimality(self, code):
+        for i_max in range(-1, code.u + 1):
+            assert outcome(security_level, code, i_max) == outcome(
+                reference.security_level, code, i_max
+            )
+        for t in range(1, code.u + 1):
+            assert outcome(optimality_check, code, t) == outcome(
+                reference.optimality_check, code, t
+            )
+
+    @given(code=small_codes())
+    @settings(max_examples=100, deadline=None)
+    def test_posteriors(self, code):
+        assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+
+    def test_reference_shapes(self):
+        for c, n in ((2, 1), (2, 2), (1, 3), (3, 1)):
+            code = SplittingACode(
+                u=2, v=2 * c * c * n + 1, rules=develop_cyclic(family_u2(c, n)).blocks
+            )
+            for i_max in (0, 1, 2):
+                assert analyze(code, i_max) == reference.analyze(code, i_max)
+
+
+BASE_DESIGNS = tuple(
+    develop_cyclic(family_u2(c, n)) for c, n in ((2, 1), (2, 2), (1, 3), (3, 1))
+)
+
+
+@st.composite
+def damaged_designs(draw) -> SplittingDesign:
+    """A reference design with one block dropped, duplicated or with one
+    point moved to another point outside that block."""
+    design = draw(st.sampled_from(BASE_DESIGNS))
+    blocks = list(design.blocks)
+    k = draw(st.integers(0, len(blocks) - 1))
+    action = draw(st.sampled_from(("drop", "duplicate", "mutate")))
+    if action == "drop":
+        del blocks[k]
+    elif action == "duplicate":
+        blocks.insert(draw(st.integers(0, len(blocks))), blocks[k])
+    else:
+        block = blocks[k]
+        used = {x for part in block for x in part}
+        part = draw(st.integers(0, len(block) - 1))
+        slot = draw(st.integers(0, len(block[part]) - 1))
+        point = draw(st.sampled_from(sorted(set(range(1, design.v + 1)) - used)))
+        moved = list(block[part])
+        moved[slot] = point
+        blocks[k] = block[:part] + (tuple(moved),) + block[part + 1 :]
+    return SplittingDesign(v=design.v, blocks=tuple(blocks))
+
+
+@st.composite
+def random_designs(draw) -> SplittingDesign:
+    """A few random three-part blocks: mostly not designs at all."""
+    c = draw(st.sampled_from((1, 2)))
+    v = draw(st.integers(3 * c, 3 * c + 4))
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        points = draw(st.permutations(range(1, v + 1)))[: 3 * c]
+        blocks.append(tuple(tuple(points[k * c : (k + 1) * c]) for k in range(3)))
+    return SplittingDesign(v=v, blocks=tuple(blocks))
+
+
+class TestVerifyAgainstReference:
+    @given(design=damaged_designs())
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_designs(self, design):
+        for t in (1, 2):
+            assert verify_design(design, t) == reference.verify_design(design, t)
+
+    @given(design=random_designs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_designs(self, design):
+        for t in (1, 2, 3):
+            assert verify_design(design, t) == reference.verify_design(design, t)
+
+    def test_undamaged_and_doubled(self):
+        for design in BASE_DESIGNS:
+            doubled = SplittingDesign(v=design.v, blocks=design.blocks * 2)
+            for d in (design, doubled):
+                for t in (1, 2):
+                    assert verify_design(d, t) == reference.verify_design(d, t)
+
+    def test_witness_after_last_covered_subset(self):
+        # every covered pair counts once, and the first uncovered pair
+        # comes after all of them
+        design = SplittingDesign(v=5, blocks=(((1,), (2,)), ((1,), (3,))))
+        result = verify_design(design, 2)
+        assert result == reference.verify_design(design, 2)
+        assert result.witness == ((1, 4), 0, 1)
+
+
+def reference_develop(family: BaseBlockFamily) -> SplittingDesign:
+    orbits = [
+        reference.orbit_of(base, family.v, base_index=k)
+        for k, base in enumerate(family.base_blocks)
+    ]
+    return SplittingDesign(
+        v=family.v,
+        blocks=tuple(b for _, blocks in orbits for b in blocks),
+        family=family,
+        orbits=tuple(info for info, _ in orbits),
+    )
+
+
+class TestOrbitsAgainstReference:
+    def test_short_orbit_family(self):
+        # v = c*u mod u(u-1)c^2 allows short orbits: over Z_12 the shift
+        # by 6 fixes {1,7}|{2,8} and swaps the parts of {1,4}|{7,10}
+        base = (((1, 7), (2, 8)), ((1, 4), (7, 10)), ((1, 2), (3, 5)))
+        family = BaseBlockFamily(v=12, u=2, c=2, base_blocks=base)
+        assert congruence_condition(12, 2, 2) is CongruenceCase.BLOCK_SIZE
+        design = develop_cyclic(family)
+        assert design == reference_develop(family)
+        assert design.orbit_lengths == (6, 6, 12)
+
+    def test_family_shapes(self):
+        for c, n in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)):
+            family = family_u2(c, n)
+            assert develop_cyclic(family) == reference_develop(family)
+
+    @given(
+        v=st.integers(2, 16),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_blocks(self, v, data):
+        c = data.draw(st.integers(1, v // 2))
+        u = data.draw(st.integers(1, v // c))
+        points = data.draw(st.permutations(range(1, v + 1)))[: c * u]
+        block = tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u))
+        assert orbit_of(block, v, 3) == reference.orbit_of(block, v, 3)

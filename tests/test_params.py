@@ -68,6 +68,13 @@ class TestDesignParams:
         with pytest.raises(ValueError):
             DesignParams(t=0, v=9, b=9, c=2, u=2, lam=1)
 
+    @pytest.mark.parametrize("name", ["t", "v", "b", "c", "u", "lam"])
+    def test_bools_rejected(self, name):
+        fields = dict(t=2, v=9, b=9, c=2, u=2, lam=1)
+        fields[name] = True
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            DesignParams(**fields)
+
     def test_str_form(self):
         assert str(P9) == "2-(9,9,4=2×2,1)"
         assert str(P17) == "2-(17,34,4=2×2,1)"

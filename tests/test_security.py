@@ -12,7 +12,6 @@ from splitauth import (
     decode,
     deception_bound,
     deception_probability,
-    message_marginal,
     optimality_check,
     perfect_secrecy_check,
     rule_count_floor,
@@ -282,31 +281,31 @@ class TestOptimality:
                 rule_count_floor(table1_code, t)
 
 
+def message_marginals(code: SplittingACode) -> dict[int, Fraction]:
+    return perfect_secrecy_check(code).message_marginals
+
+
 class TestMessageMarginals:
     def test_uniform_reference_marginals(self, table1_code, table2_code):
         for code, expected in (
             (table1_code, Fraction(1, 9)),
             (table2_code, Fraction(1, 17)),
         ):
+            marginals = message_marginals(code)
             for m in range(1, code.v + 1):
-                assert message_marginal(code, m) == expected
+                assert marginals[m] == expected
 
     def test_marginals_sum_to_one(self, table2_code):
-        total = sum(
-            message_marginal(table2_code, m) for m in range(1, 18)
-        )
+        marginals = message_marginals(table2_code)
+        assert set(marginals) == set(range(1, 18))
+        total = sum(marginals[m] for m in range(1, 18))
         assert total == 1
-
-    def test_message_range(self, table1_code):
-        for m in (0, 10):
-            with pytest.raises(ValueError):
-                message_marginal(table1_code, m)
 
     def test_unused_rules_contribute_nothing(self):
         dist = (Fraction(1),) + tuple(Fraction(0) for _ in range(8))
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES, key_dist=dist)
-        assert message_marginal(code, 4) == 0
-        assert message_marginal(code, 1) == Fraction(1, 4)
+        assert message_marginals(code)[4] == 0
+        assert message_marginals(code)[1] == Fraction(1, 4)
 
 
 class TestPerfectSecrecy:
@@ -360,7 +359,7 @@ class TestPerfectSecrecy:
         table = perfect_secrecy_check(code)
         assert not table.ok
         assert table.unreachable == (1,)
-        assert message_marginal(code, 1) == 0
+        assert table.message_marginals[1] == 0
 
 
 class TestAnalyze:
@@ -479,6 +478,6 @@ class TestWeightedCodeProperties:
         table = perfect_secrecy_check(code)
         for m in range(1, 10):
             if m in table.unreachable:
-                assert message_marginal(code, m) == 0
+                assert table.message_marginals[m] == 0
                 continue
             assert table.entries[1, m] + table.entries[2, m] == 1
