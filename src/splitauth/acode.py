@@ -12,11 +12,11 @@ rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import frozen
 from .construct import Block, SplittingDesign
-from .verify import verify_design
+from .verify import _shape_defects, verify_design
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -45,7 +45,6 @@ def rule_defects(rules: tuple[Block, ...], v: int) -> list[str]:
     Callers use this to diagnose malformed rule sets before (or instead
     of) constructing a code.
     """
-    defects: list[str] = []
     if not rules:
         return ["code has no encoding rules"]
     u = len(rules[0])
@@ -54,23 +53,7 @@ def rule_defects(rules: tuple[Block, ...], v: int) -> list[str]:
     c = len(rules[0][0])
     if c == 0:
         return ["rule 1 has an empty cell"]
-    for idx, rule in enumerate(rules, start=1):
-        if len(rule) != u:
-            defects.append(f"rule {idx} has {len(rule)} cells, expected {u}")
-            continue
-        seen: set[int] = set()
-        for cell in rule:
-            if len(cell) != c:
-                defects.append(
-                    f"rule {idx} has a cell of size {len(cell)}, expected {c}"
-                )
-            for m in cell:
-                if not 1 <= m <= v:
-                    defects.append(f"rule {idx} uses message {m} outside 1..{v}")
-                elif m in seen:
-                    defects.append(f"rule {idx} repeats message {m}")
-                seen.add(m)
-    return defects
+    return _shape_defects(rules, v, u, c, ("rule", "cell", "message"))
 
 
 def _uniform(n: int) -> tuple[Fraction, ...]:
@@ -95,7 +78,7 @@ def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:
         raise ValueError(f"{name} sums to {Fraction(sum(numerators), den)}, expected 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class SplittingACode:
     """An authentication code with splitting.
 
@@ -109,8 +92,8 @@ class SplittingACode:
     u: int
     v: int
     rules: tuple[Block, ...]
-    key_dist: tuple[Fraction, ...] = field(default=())
-    source_dist: tuple[Fraction, ...] = field(default=())
+    key_dist: tuple[Fraction, ...] = ()
+    source_dist: tuple[Fraction, ...] = ()
     split_dist: SplitDist | None = None
 
     def __post_init__(self) -> None:
@@ -121,6 +104,10 @@ class SplittingACode:
             raise ValueError(
                 f"rules have {len(self.rules[0])} cells, expected u={self.u}"
             )
+        self._check_dists()
+
+    def _check_dists(self) -> None:
+        """Fill in the uniform defaults and check every distribution."""
         if not self.key_dist:
             object.__setattr__(self, "key_dist", _uniform(len(self.rules)))
         if not self.source_dist:
@@ -145,6 +132,15 @@ class SplittingACode:
                         len(self.rules[e - 1][s - 1]),
                         f"split_dist of rule {e}, source {s}",
                     )
+
+    @classmethod
+    def _on_checked_rules(cls, *fields) -> SplittingACode:
+        """The code with these fields in order, for rules that already passed
+        :func:`rule_defects` with u cells each: checks only the distributions."""
+        code = cls.__new__(cls)
+        code.__dict__.update(zip(cls.__annotations__, fields))
+        code._check_dists()
+        return code
 
     @property
     def num_rules(self) -> int:
@@ -194,13 +190,8 @@ def code_from_design(
             f"design has index {result.params.lam}, need exactly 1 "
             "for an encoding-rule set"
         )
-    return SplittingACode(
-        u=result.params.u,
-        v=design.v,
-        rules=design.blocks,
-        key_dist=key_dist,
-        source_dist=source_dist,
-        split_dist=split_dist,
+    return SplittingACode._on_checked_rules(
+        result.params.u, design.v, design.blocks, key_dist, source_dist, split_dist
     )
 
 
@@ -236,7 +227,7 @@ def valid_messages(code: SplittingACode, rule: int) -> frozenset[int]:
     return frozenset(m for cell in code.rules[rule - 1] for m in cell)
 
 
-@dataclass(frozen=True)
+@frozen
 class EncodingMatrix:
     """Text form of a code: one row per rule, one column per source.
 

@@ -14,20 +14,9 @@ fails, 2 = malformed input.  All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from .acode import (
-    SplittingACode,
-    code_from_design,
-    render_matrix,
-    rule_defects,
-    subscript,
-)
 from .construct import (
     BaseBlockFamily,
     OrbitInfo,
@@ -35,8 +24,15 @@ from .construct import (
     develop_cyclic,
     family_u2,
 )
-from .security import SecurityReport, analyze, rule_count_floor
-from .verify import VerificationResult, verify_design
+
+# Commands import what they use, so each process pays only for its own.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .acode import SplittingACode
+    from .security import SecurityReport
+    from .verify import VerificationResult
 
 
 class _InputError(Exception):
@@ -53,7 +49,11 @@ class _ClaimError(Exception):
 
 def _read_json(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as file:
+                text = file.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -67,7 +67,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as file:
+                file.write(text)
         except OSError as exc:
             raise _InputError(f"cannot write {out}: {exc}") from exc
 
@@ -97,25 +98,28 @@ def _parse_blocks(raw, where: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(blocks)
 
 
-def _parse_rational(value, where: str) -> Fraction:
+def _parse_rational(value, where: str, parsed: dict) -> Fraction:
+    """One rational from JSON.  ``parsed`` holds every value already
+    parsed: a code repeats the same few strings once per rule."""
     if isinstance(value, bool):
         raise _InputError(f"{where}: {value!r} is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if not isinstance(value, (int, str)):
+        raise _InputError(
+            f"{where}: {value!r} is not exact; use \"p/q\" strings, not floats"
+        )
+    if value not in parsed:
+        from fractions import Fraction
         try:
-            return Fraction(value)
+            parsed[value] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise _InputError(f"{where}: {value!r} is not a rational") from exc
-    raise _InputError(
-        f"{where}: {value!r} is not exact; use \"p/q\" strings, not floats"
-    )
+    return parsed[value]
 
 
-def _parse_dist(raw, where: str) -> tuple[Fraction, ...]:
+def _parse_dist(raw, where: str, parsed: dict) -> tuple[Fraction, ...]:
     if not isinstance(raw, list):
         raise _InputError(f"{where}: must be a list of rationals")
-    return tuple(_parse_rational(x, where) for x in raw)
+    return tuple(_parse_rational(x, where, parsed) for x in raw)
 
 
 def _load_family(obj, where: str) -> BaseBlockFamily:
@@ -164,6 +168,7 @@ def _load_code(obj, where: str) -> SplittingACode:
     claims (exit 1) so that analyzing a damaged code names the broken
     property.
     """
+    from .acode import SplittingACode, rule_defects
     if not isinstance(obj, dict):
         raise _InputError(f"{where}: expected a JSON object")
     u = _require_int(obj, "u", where)
@@ -171,15 +176,10 @@ def _load_code(obj, where: str) -> SplittingACode:
     if u < 1 or v < 1:
         raise _InputError(f"{where}: u and v must be positive")
     rules = _parse_blocks(obj.get("rules"), f"{where}: rules")
-    key_dist = (
-        _parse_dist(obj["key_dist"], f"{where}: key_dist")
-        if "key_dist" in obj
-        else ()
-    )
-    source_dist = (
-        _parse_dist(obj["source_dist"], f"{where}: source_dist")
-        if "source_dist" in obj
-        else ()
+    parsed: dict[int | str, Fraction] = {}
+    key_dist, source_dist = (
+        _parse_dist(obj[key], f"{where}: {key}", parsed) if key in obj else ()
+        for key in ("key_dist", "source_dist")
     )
     split_dist = None
     if "split_dist" in obj:
@@ -187,7 +187,7 @@ def _load_code(obj, where: str) -> SplittingACode:
         if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
             raise _InputError(f"{where}: split_dist must be a list of lists")
         split_dist = tuple(
-            tuple(_parse_dist(cell, f"{where}: split_dist") for cell in rule)
+            tuple(_parse_dist(cell, f"{where}: split_dist", parsed) for cell in rule)
             for rule in raw
         )
     defects = rule_defects(rules, v)
@@ -198,20 +198,16 @@ def _load_code(obj, where: str) -> SplittingACode:
             [f"structure: FAIL (rules have {len(rules[0])} cells, expected u={u})"]
         )
     try:
-        return SplittingACode(
-            u=u,
-            v=v,
-            rules=rules,
-            key_dist=key_dist,
-            source_dist=source_dist,
-            split_dist=split_dist,
+        return SplittingACode._on_checked_rules(
+            u, v, rules, key_dist, source_dist, split_dist
         )
     except ValueError as exc:
         raise _InputError(f"{where}: {exc}") from exc
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    # One line: indent= would switch json to its pure-Python encoder.
+    return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
 def _family_json(family: BaseBlockFamily) -> str:
@@ -262,6 +258,7 @@ def _fold_name(i: int) -> str:
 
 
 def _secrecy_failure(report: SecurityReport) -> str:
+    from .acode import subscript
     table = report.posteriors
     if table.unreachable:
         shown = ", ".join(str(m) for m in table.unreachable[:5])
@@ -282,6 +279,7 @@ def _report_lines(
     i_max: int,
 ) -> tuple[list[str], bool]:
     """Human-readable claim-by-claim report and the overall verdict."""
+    from .security import rule_count_floor
     lines: list[str] = []
     ok = True
     if design_result.ok and design_result.params is not None:
@@ -357,6 +355,7 @@ def cmd_develop(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_design
     obj = _read_json(args.input)
     design = _load_design(obj, args.input)
     t = args.strength if args.strength is not None else design.t
@@ -371,6 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_to_code(args: argparse.Namespace) -> int:
+    from .acode import code_from_design
     obj = _read_json(args.input)
     design = _load_design(obj, args.input)
     try:
@@ -382,6 +382,8 @@ def cmd_to_code(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .security import analyze
+    from .verify import _verify_shaped
     obj = _read_json(args.input)
     code = _load_code(obj, args.input)
     i_max = args.orders
@@ -390,7 +392,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"--orders {i_max} out of range 0..{code.u - 1} for u={code.u} sources"
         )
     design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
-    design_result = verify_design(design, i_max + 1)
+    # _load_code has checked the rules' structure already.
+    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
     report = analyze(code, i_max=i_max)
     lines, ok = _report_lines(code, design_result, report, i_max)
     lines.append("PASS" if ok else "FAIL")
@@ -399,6 +402,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .acode import render_matrix
     obj = _read_json(args.input)
     code = _load_code(obj, args.input)
     matrix = render_matrix(code)
@@ -414,6 +418,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         ]
         _emit("\n".join([header, ruler, *rows]) + "\n", args.out)
         return 0
+    import csv
+    import io
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rule"] + [f"s{j}" for j in range(1, code.u + 1)])
@@ -424,6 +430,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .acode import code_from_design, render_matrix
+    from .security import analyze
+    from .verify import verify_design
     n = {"table1": 1, "table2": 2}[args.which]
     design = develop_cyclic(family_u2(2, n))
     code = code_from_design(design)

@@ -10,7 +10,8 @@ order of points inside a part).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from ._record import frozen
 
 Part = tuple[int, ...]
 Block = tuple[Part, ...]
@@ -38,7 +39,7 @@ def _check_block_shape(block: Block, u: int, c: int, v: int) -> None:
             seen.add(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class BaseBlockFamily:
     """Base blocks to be developed cyclically over Z_v.
 
@@ -61,7 +62,7 @@ class BaseBlockFamily:
             _check_block_shape(block, self.u, self.c, self.v)
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitInfo:
     """One orbit of the translation action on blocks.
 
@@ -75,7 +76,7 @@ class OrbitInfo:
     is_full: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class SplittingDesign:
     """A concrete splitting design: points 1..v and an explicit block list.
 
@@ -90,7 +91,7 @@ class SplittingDesign:
     blocks: tuple[Block, ...]
     t: int = 2
     family: BaseBlockFamily | None = None
-    orbits: tuple[OrbitInfo, ...] = field(default=())
+    orbits: tuple[OrbitInfo, ...] = ()
 
     def __post_init__(self) -> None:
         if self.v < 1:

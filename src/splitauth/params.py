@@ -14,8 +14,9 @@ passing them does not imply a design exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._record import frozen
 
 
 def binomial(n: int, k: int) -> int:
@@ -25,7 +26,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
+@frozen
 class DesignParams:
     """The tuple (t, v, b, c, u, lambda) of a candidate splitting design.
 
@@ -42,7 +43,7 @@ class DesignParams:
     c: int
     u: int
     lam: int
-    l: int = field(default=-1)
+    l: int = -1
 
     def __post_init__(self) -> None:
         for name in ("t", "v", "b", "c", "u", "lam"):
@@ -62,7 +63,7 @@ class DesignParams:
         return f"{self.t}-({self.v},{self.b},{self.l}={self.c}×{self.u},{self.lam})"
 
 
-@dataclass(frozen=True)
+@frozen
 class DerivedCounts:
     """Exact replication numbers lambda_s for levels 1 <= s <= t."""
 
@@ -92,7 +93,7 @@ def derived_counts(params: DesignParams) -> DerivedCounts:
     return DerivedCounts({s: lambda_level(params, s) for s in range(1, params.t + 1)})
 
 
-@dataclass(frozen=True)
+@frozen
 class AdmissibilityReport:
     """Outcome of every implemented necessary condition.
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product, repeat
 
+from ._record import frozen
 from .acode import SplittingACode, common_denominator
 from .params import binomial
 
 
-@dataclass(frozen=True)
+@frozen
 class PosteriorTable:
     """Source posteriors given each observable message.
 
@@ -41,7 +41,7 @@ class PosteriorTable:
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class SecurityReport:
     """Full exact analysis of one code.
 
@@ -64,7 +64,7 @@ class SecurityReport:
         return self.posteriors.ok
 
 
-@dataclass(frozen=True)
+@frozen
 class _Masses:
     """The code's distributions as integers over common denominators:
     ``key[e]`` and ``source[s]`` are the probabilities of rule e+1 and

@@ -11,14 +11,14 @@ distinct; two points inside the same part are not covered by it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 
+from ._record import frozen
 from .construct import Block, SplittingDesign
 from .params import DesignParams, binomial, lambda_level
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationResult:
     """Outcome of exact checking.
 
@@ -42,7 +42,6 @@ def _structure(blocks: tuple[Block, ...], v: int) -> tuple[list[str], int, int]:
     never trusted; mixed shapes are defects.  Returns c = u = 0 when
     the list is empty or the first block is degenerate.
     """
-    defects: list[str] = []
     if not blocks:
         return ["design has no blocks"], 0, 0
     first = blocks[0]
@@ -50,23 +49,32 @@ def _structure(blocks: tuple[Block, ...], v: int) -> tuple[list[str], int, int]:
     c = len(first[0]) if first else 0
     if u == 0 or c == 0:
         return [f"block 1 is degenerate: {first!r}"], 0, 0
+    return _shape_defects(blocks, v, u, c, ("block", "part", "point")), c, u
+
+
+def _shape_defects(blocks, v: int, u: int, c: int, nouns: tuple[str, ...]) -> list[str]:
+    """Defects of blocks that should each be u pairwise-disjoint parts of
+    c points from 1..v.  ``nouns`` names a block, a part and a point in
+    the messages; a code says rule, cell and message."""
+    name, part_name, point_name = nouns
+    defects: list[str] = []
     for idx, block in enumerate(blocks, start=1):
         if len(block) != u:
-            defects.append(f"block {idx} has {len(block)} parts, expected {u}")
+            defects.append(f"{name} {idx} has {len(block)} {part_name}s, expected {u}")
             continue
         seen: set[int] = set()
         for part in block:
             if len(part) != c:
                 defects.append(
-                    f"block {idx} has a part of size {len(part)}, expected {c}"
+                    f"{name} {idx} has a {part_name} of size {len(part)}, expected {c}"
                 )
             for x in part:
                 if not 1 <= x <= v:
-                    defects.append(f"block {idx} uses point {x} outside 1..{v}")
+                    defects.append(f"{name} {idx} uses {point_name} {x} outside 1..{v}")
                 elif x in seen:
-                    defects.append(f"block {idx} repeats point {x}")
+                    defects.append(f"{name} {idx} repeats {point_name} {x}")
                 seen.add(x)
-    return defects, c, u
+    return defects
 
 
 def check_structure(design: SplittingDesign) -> list[str]:
@@ -112,6 +120,12 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     defects, c, u = _structure(design.blocks, design.v)
     if defects:
         return VerificationResult(ok=False, params=None, defects=tuple(defects))
+    return _verify_shaped(design, t, c, u)
+
+
+def _verify_shaped(design: SplittingDesign, t: int, c: int, u: int) -> VerificationResult:
+    """:func:`verify_design` for blocks already known to be free of
+    structural defects, each of u parts of c points."""
     if t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
 

@@ -325,6 +325,70 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "sums to" in err
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            (True, "True is not a rational"),
+            (0.5, '0.5 is not exact; use "p/q" strings, not floats'),
+            ([1], '[1] is not exact; use "p/q" strings, not floats'),
+            ("1/x", "'1/x' is not a rational"),
+            ("1/0", "'1/0' is not a rational"),
+        ],
+    )
+    def test_bad_rational_among_repeats(
+        self, entry, shown, table1_code_file, tmp_path, capsys
+    ):
+        obj = json.loads(table1_code_file.read_text())
+        obj["key_dist"] = ["1/9"] * 8 + [entry]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["analyze", str(target)], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {target}: key_dist: {shown}\n"
+
+    def test_integer_and_repeated_weights(self, table1_code_file, tmp_path, capsys):
+        obj = json.loads(table1_code_file.read_text())
+        obj["key_dist"] = [0, "0", 1] + ["0"] * 6
+        obj["source_dist"] = ["1/2", "1/2"]
+        target = tmp_path / "ints.json"
+        target.write_text(json.dumps(obj))
+        rc, out, _ = run_cli(["export", str(target), "-f", "json"], capsys)
+        assert rc == 0
+        assert json.loads(out)["key_dist"] == ["0", "0", "1"] + ["0"] * 6
+
+
+class TestShapeCheckedOnce:
+    """A command checks the structure of each rule set once."""
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        import splitauth.acode
+        import splitauth.verify
+
+        sizes = []
+        check = splitauth.verify._shape_defects
+
+        def counting(blocks, *args):
+            sizes.append(len(blocks))
+            return check(blocks, *args)
+
+        monkeypatch.setattr(splitauth.verify, "_shape_defects", counting)
+        monkeypatch.setattr(splitauth.acode, "_shape_defects", counting)
+        return sizes
+
+    @pytest.mark.parametrize("command", ["to-code", "analyze"])
+    def test_once(self, command, table2_files, checked, capsys):
+        _, design, code = table2_files
+        source = design if command == "to-code" else code
+        rc, _, _ = run_cli([command, str(source)], capsys)
+        assert rc == 0
+        assert checked == [34]
+
+    def test_public_constructor_still_checks(self, table1_code, checked):
+        SplittingACode = type(table1_code)
+        assert SplittingACode(u=2, v=9, rules=table1_code.rules) == table1_code
+        assert checked == [9]
+
 
 class TestExportCommand:
     def test_csv(self, table1_code_file, capsys):
