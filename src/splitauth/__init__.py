@@ -25,10 +25,9 @@ _EXPORTS = {
         "params": "AdmissibilityReport DerivedCounts DesignParams admissible binomial "
         "check_divisibility check_fisher check_identities derived_counts lambda_level",
         "security": "PosteriorTable SecurityReport analyze deception_bound "
-        "deception_probability optimality_check perfect_secrecy_check "
-        "rule_count_floor security_level",
-        "verify": "VerificationResult check_structure count_covering_blocks "
-        "covered_subsets downgrade_check verify_design",
+        "deception_probability perfect_secrecy_check rule_count_floor",
+        "verify": "VerificationResult check_structure covered_subsets "
+        "downgrade_check verify_design",
     }.items()
     for name in names.split()
 }

@@ -155,15 +155,6 @@ class SplittingACode:
         """The cell of rule ``rule`` for source ``source`` (both 1-based)."""
         return self.rules[rule - 1][source - 1]
 
-    def split_weight(self, rule: int, source: int, message: int) -> Fraction:
-        """Probability of sending ``message`` given this rule and source."""
-        cell = self.cell(rule, source)
-        if message not in cell:
-            return Fraction(0)
-        if self.split_dist is None:
-            return Fraction(1, len(cell))
-        return self.split_dist[rule - 1][source - 1][sorted(cell).index(message)]
-
 
 def code_from_design(
     design: SplittingDesign,

@@ -19,7 +19,6 @@ import sys
 
 from .construct import (
     BaseBlockFamily,
-    OrbitInfo,
     SplittingDesign,
     develop_cyclic,
     family_u2,
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
 
     from .acode import SplittingACode
     from .security import SecurityReport
-    from .verify import VerificationResult
 
 
 class _InputError(Exception):
@@ -143,19 +141,13 @@ def _load_design(obj, where: str) -> SplittingDesign:
     v = _require_int(obj, "v", where)
     t = _require_int(obj, "t", where) if "t" in obj else 2
     blocks = _parse_blocks(obj.get("blocks"), f"{where}: blocks")
-    orbits: tuple[OrbitInfo, ...] = ()
-    if "orbit_lengths" in obj:
-        raw = obj["orbit_lengths"]
-        if not isinstance(raw, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in raw
-        ):
-            raise _InputError(f"{where}: orbit_lengths must be a list of integers")
-        orbits = tuple(
-            OrbitInfo(base_index=i, length=n, is_full=n == v)
-            for i, n in enumerate(raw)
-        )
+    raw = obj.get("orbit_lengths", [])
+    if not isinstance(raw, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in raw
+    ):
+        raise _InputError(f"{where}: orbit_lengths must be a list of integers")
     try:
-        return SplittingDesign(v=v, blocks=blocks, t=t, orbits=orbits)
+        return SplittingDesign(v=v, blocks=blocks, t=t)
     except ValueError as exc:
         raise _InputError(f"{where}: {exc}") from exc
 
@@ -272,14 +264,18 @@ def _secrecy_failure(report: SecurityReport) -> str:
     return "no failure"
 
 
-def _report_lines(
-    code: SplittingACode,
-    design_result: VerificationResult,
-    report: SecurityReport,
-    i_max: int,
-) -> tuple[list[str], bool]:
-    """Human-readable claim-by-claim report and the overall verdict."""
-    from .security import rule_count_floor
+def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
+    """Claim-by-claim report on orders 0..i_max, ending in PASS or FAIL,
+    and the overall verdict.  The code's rules must already be free of
+    structural defects."""
+    from .security import analyze, rule_count_floor
+    from .verify import _verify_shaped
+    design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
+    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
+    try:
+        report = analyze(code, i_max=i_max)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     lines: list[str] = []
     ok = True
     if design_result.ok and design_result.params is not None:
@@ -327,7 +323,8 @@ def _report_lines(
     else:
         lines.append("perfect secrecy: FAIL (" + _secrecy_failure(report) + ")")
         ok = False
-    return lines, ok
+    lines.append("PASS" if ok else "FAIL")
+    return "\n".join(lines) + "\n", ok
 
 
 def cmd_gen_family(args: argparse.Namespace) -> int:
@@ -382,8 +379,6 @@ def cmd_to_code(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .security import analyze
-    from .verify import _verify_shaped
     obj = _read_json(args.input)
     code = _load_code(obj, args.input)
     i_max = args.orders
@@ -391,13 +386,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise _InputError(
             f"--orders {i_max} out of range 0..{code.u - 1} for u={code.u} sources"
         )
-    design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
     # _load_code has checked the rules' structure already.
-    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
-    report = analyze(code, i_max=i_max)
-    lines, ok = _report_lines(code, design_result, report, i_max)
-    lines.append("PASS" if ok else "FAIL")
-    _emit("\n".join(lines) + "\n", args.out)
+    text, ok = _report(code, i_max)
+    _emit(text, args.out)
     return 0 if ok else 1
 
 
@@ -430,18 +421,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .acode import code_from_design, render_matrix
-    from .security import analyze
-    from .verify import verify_design
+    from .acode import SplittingACode, render_matrix
     n = {"table1": 1, "table2": 2}[args.which]
     design = develop_cyclic(family_u2(2, n))
-    code = code_from_design(design)
+    # The report checks λ=1, so the rules need only the constructor's
+    # shape check.
+    code = SplittingACode(u=2, v=design.v, rules=design.blocks)
     matrix = render_matrix(code, group_sizes=design.orbit_lengths)
-    design_result = verify_design(design, 2)
-    report = analyze(code, i_max=1)
-    lines, ok = _report_lines(code, design_result, report, 1)
-    lines.append("PASS" if ok else "FAIL")
-    sys.stdout.write(matrix.render() + "\n\n" + "\n".join(lines) + "\n")
+    text, ok = _report(code, 1)
+    sys.stdout.write(matrix.render() + "\n\n" + text)
     return 0 if ok else 1
 
 

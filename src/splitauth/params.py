@@ -133,12 +133,9 @@ def check_identities(params: DesignParams) -> dict[str, bool]:
 
 def check_divisibility(params: DesignParams) -> dict[int, bool]:
     """Congruence at every level 1 <= s <= t (lambda_s is an integer)."""
-    out = {}
-    for s in range(1, params.t + 1):
-        num = params.lam * binomial(params.v - s, params.t - s)
-        mod = params.c ** (params.t - s) * binomial(params.u - s, params.t - s)
-        out[s] = num % mod == 0
-    return out
+    return {
+        s: lambda_level(params, s).denominator == 1 for s in range(1, params.t + 1)
+    }
 
 
 def check_fisher(params: DesignParams) -> bool | None:

@@ -207,41 +207,6 @@ def deception_bound(code: SplittingACode, i: int) -> Fraction:
     return Fraction(code.c * (code.u - i), code.v - i)
 
 
-def _level(code: SplittingACode, deception, i_max: int) -> int:
-    """Largest L <= i_max with ``deception(i)`` equal to the floor at
-    every order 0..L, asking for no order past the first miss."""
-    misses = (i for i in range(i_max + 1) if deception(i) != deception_bound(code, i))
-    return next(misses, i_max + 1) - 1
-
-
-def security_level(code: SplittingACode, i_max: int | None = None) -> int:
-    """Largest L <= i_max with deception probability equal to the floor
-    at every order 0..L; -1 when even order 0 exceeds the floor.
-
-    ``i_max`` defaults to u - 1, the last order at which spoofing a new
-    source is possible at all.
-    """
-    if i_max is None:
-        i_max = code.u - 1
-    if i_max > code.u:
-        raise ValueError(f"i_max={i_max} exceeds source count u={code.u}")
-    masses = _masses(code)
-    return _level(code, lambda i: _deception(code, masses, i), i_max)
-
-
-def optimality_check(code: SplittingACode, t: int) -> bool | None:
-    """Whether the code has the fewest rules possible for strength t.
-
-    Returns equality with :func:`rule_count_floor`, or None when the
-    precondition fails (the code is not (t-1)-fold secure, so the floor
-    does not apply).
-    """
-    floor = rule_count_floor(code, t)
-    if security_level(code, i_max=t - 1) < t - 1:
-        return None
-    return floor == code.num_rules
-
-
 def rule_count_floor(code: SplittingACode, t: int) -> Fraction:
     """The minimum number of rules a (t-1)-fold-secure c-splitting code
     with these parameters can have: C(v, t) / (c^t * C(u, t))."""
@@ -263,13 +228,15 @@ def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
         raise ValueError(f"i_max={i_max} out of range 0..{code.u}")
     masses = _masses(code)
     deception = {i: _deception(code, masses, i) for i in range(i_max + 1)}
-    level = _level(code, deception.__getitem__, i_max)
+    bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
+    misses = (i for i in range(i_max + 1) if deception[i] != bounds[i])
+    level = next(misses, i_max + 1) - 1
     optimal = None
     if level == i_max < code.u:
         optimal = rule_count_floor(code, i_max + 1) == code.num_rules
     return SecurityReport(
         deception=deception,
-        bounds={i: deception_bound(code, i) for i in range(i_max + 1)},
+        bounds=bounds,
         level=level,
         optimal=optimal,
         posteriors=_posteriors(code, masses),

@@ -96,18 +96,6 @@ def covered_subsets(block: Block, t: int) -> list[tuple[int, ...]]:
     ]
 
 
-def count_covering_blocks(design: SplittingDesign, points: tuple[int, ...]) -> int:
-    """How many blocks cover the given point subset (with multiplicity)."""
-    if len(set(points)) != len(points) or not points:
-        raise ValueError(f"points {points} are not a nonempty subset")
-    for x in points:
-        if not 1 <= x <= design.v:
-            raise ValueError(f"point {x} outside 1..{design.v}")
-    target = tuple(sorted(points))
-    t = len(target)
-    return sum(target in set(covered_subsets(block, t)) for block in design.blocks)
-
-
 def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     """Test exactly whether ``design`` is a t-splitting design.
 

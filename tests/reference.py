@@ -2,7 +2,8 @@
 
 These are the original Fraction-per-transcript security enumeration,
 the lexicographic scan over all C(v, t) subsets in design verification
-and the set-keyed orbit walk, kept verbatim apart from imports.  They
+and the set-keyed orbit walk, kept verbatim apart from imports and
+from ``split_weight``, which was a method of ``SplittingACode``.  They
 are slow by design: every value they produce is computed the direct
 way, so tests compare the library's counting engine against them on
 small inputs.
@@ -30,6 +31,16 @@ from splitauth.construct import Block, _block_key
 from splitauth.verify import _structure
 
 
+def split_weight(code: SplittingACode, rule: int, source: int, message: int) -> Fraction:
+    """Probability of sending ``message`` given this rule and source."""
+    cell = code.cell(rule, source)
+    if message not in cell:
+        return Fraction(0)
+    if code.split_dist is None:
+        return Fraction(1, len(cell))
+    return code.split_dist[rule - 1][source - 1][sorted(cell).index(message)]
+
+
 def _joint_and_marginals(
     code: SplittingACode,
 ) -> tuple[dict[tuple[int, int], Fraction], dict[int, Fraction]]:
@@ -46,7 +57,7 @@ def _joint_and_marginals(
             if p_s == 0:
                 continue
             for m in code.cell(e, s):
-                mass = p_e * p_s * code.split_weight(e, s, m)
+                mass = p_e * p_s * split_weight(code, e, s, m)
                 joint[(s, m)] += mass
                 marginals[m] += mass
     return joint, marginals
@@ -130,7 +141,7 @@ def deception_probability(code: SplittingACode, i: int) -> Fraction:
             for picks in product(*(code.cell(e, s) for s in sources)):
                 mass = p_e * p_sub
                 for s, m in zip(sources, picks):
-                    mass *= code.split_weight(e, s, m)
+                    mass *= split_weight(code, e, s, m)
                 if mass == 0:
                     continue
                 observed = frozenset(picks)

@@ -24,6 +24,7 @@ from splitauth import (
     SplittingACode,
     SplittingDesign,
     admissible,
+    analyze,
     code_from_design,
     covered_subsets,
     deception_bound,
@@ -31,11 +32,9 @@ from splitauth import (
     develop_cyclic,
     family_u2,
     lambda_level,
-    optimality_check,
     perfect_secrecy_check,
     rule_count_floor,
     rule_defects,
-    security_level,
     verify_design,
 )
 from conftest import TABLE1_RULES, TABLE2_RULES
@@ -116,14 +115,14 @@ class TestExactSecurity:
         assert deception_probability(table1_code, 1) == Fraction(1, 4)
         assert deception_bound(table1_code, 0) == Fraction(4, 9)
         assert deception_bound(table1_code, 1) == Fraction(1, 4)
-        assert security_level(table1_code, i_max=1) == 1
+        assert analyze(table1_code, i_max=1).level == 1
 
     def test_table2_code(self, table2_code):
         assert deception_probability(table2_code, 0) == Fraction(4, 17)
         assert deception_probability(table2_code, 1) == Fraction(1, 8)
         assert deception_bound(table2_code, 0) == Fraction(4, 17)
         assert deception_bound(table2_code, 1) == Fraction(1, 8)
-        assert security_level(table2_code, i_max=1) == 1
+        assert analyze(table2_code, i_max=1).level == 1
 
 
 class TestOptimality:
@@ -134,8 +133,8 @@ class TestOptimality:
         assert rule_count_floor(table2_code, 2) == Fraction(136, 4) == 34
 
     def test_equality(self, table1_code, table2_code):
-        assert optimality_check(table1_code, 2) is True
-        assert optimality_check(table2_code, 2) is True
+        assert analyze(table1_code, i_max=1).optimal is True
+        assert analyze(table2_code, i_max=1).optimal is True
 
 
 class TestPerfectSecrecy:
@@ -168,7 +167,7 @@ class TestFamilySuite:
             assert deception_probability(code, 1) == Fraction(c, 2 * c * c * n)
             assert deception_bound(code, 0) == Fraction(2 * c, v)
             assert deception_bound(code, 1) == Fraction(c, 2 * c * c * n)
-            assert optimality_check(code, 2) is True
+            assert analyze(code, i_max=1).optimal is True
             assert perfect_secrecy_check(code).ok
         assert time.perf_counter() - start < 30.0
 

