@@ -19,15 +19,14 @@ _EXPORTS = {
     for module, names in {
         "acode": "REJECT EncodingMatrix SplittingACode code_from_design decode "
         "encode render_matrix rule_defects valid_messages",
-        "construct": "BaseBlockFamily Block CongruenceCase OrbitInfo Part "
+        "construct": "BaseBlockFamily Block CongruenceCase Part "
         "SplittingDesign congruence_condition develop_cyclic family_u2 orbit_of "
         "translate_block",
-        "params": "AdmissibilityReport DerivedCounts DesignParams admissible binomial "
-        "check_divisibility check_fisher check_identities derived_counts lambda_level",
+        "params": "AdmissibilityReport DesignParams admissible binomial "
+        "check_divisibility check_fisher check_identities lambda_level",
         "security": "PosteriorTable SecurityReport analyze deception_bound "
         "deception_probability perfect_secrecy_check rule_count_floor",
-        "verify": "VerificationResult check_structure covered_subsets "
-        "downgrade_check verify_design",
+        "verify": "VerificationResult covered_subsets downgrade_check verify_design",
     }.items()
     for name in names.split()
 }

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import construct
 from ._record import frozen
 from .construct import Block, SplittingDesign
-from .verify import _shape_defects, verify_design
+from .verify import verify_design
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -37,23 +38,19 @@ REJECT = _Reject()
 SplitDist = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def rule_defects(rules: tuple[Block, ...], v: int) -> list[str]:
+def rule_defects(rules: tuple[Block, ...], v: int, u: int | None = None) -> list[str]:
     """Structural problems of a rule list, without building a code.
 
-    Every rule needs the same number of cells, every cell the same
-    size, cells of one rule pairwise disjoint, all messages in 1..v.
-    Callers use this to diagnose malformed rule sets before (or instead
-    of) constructing a code.
+    Every rule needs the same number of cells (u, when given), every
+    cell the same size, cells of one rule pairwise disjoint, all
+    messages in 1..v.  Callers use this to diagnose malformed rule sets
+    before (or instead of) constructing a code.
     """
-    if not rules:
-        return ["code has no encoding rules"]
-    u = len(rules[0])
-    if u == 0:
-        return ["rule 1 has no cells"]
-    c = len(rules[0][0])
-    if c == 0:
-        return ["rule 1 has an empty cell"]
-    return _shape_defects(rules, v, u, c, ("rule", "cell", "message"))
+    words = (
+        "rule", "cell", "message", "code has no encoding rules",
+        "rule 1 has no cells", "rule 1 has an empty cell",
+    )
+    return construct._shape_defects(rules, v, words, u)[0]
 
 
 def _uniform(n: int) -> tuple[Fraction, ...]:
@@ -97,13 +94,9 @@ class SplittingACode:
     split_dist: SplitDist | None = None
 
     def __post_init__(self) -> None:
-        defects = rule_defects(self.rules, self.v)
+        defects = rule_defects(self.rules, self.v, self.u)
         if defects:
             raise ValueError("; ".join(defects))
-        if len(self.rules[0]) != self.u:
-            raise ValueError(
-                f"rules have {len(self.rules[0])} cells, expected u={self.u}"
-            )
         self._check_dists()
 
     def _check_dists(self) -> None:
@@ -136,7 +129,7 @@ class SplittingACode:
     @classmethod
     def _on_checked_rules(cls, *fields) -> SplittingACode:
         """The code with these fields in order, for rules that already passed
-        :func:`rule_defects` with u cells each: checks only the distributions."""
+        :func:`rule_defects` with this u: checks only the distributions."""
         code = cls.__new__(cls)
         code.__dict__.update(zip(cls.__annotations__, fields))
         code._check_dists()

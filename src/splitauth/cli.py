@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .construct import (
@@ -56,7 +57,7 @@ def _read_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -97,8 +98,10 @@ def _parse_blocks(raw, where: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _parse_rational(value, where: str, parsed: dict) -> Fraction:
-    """One rational from JSON.  ``parsed`` holds every value already
-    parsed: a code repeats the same few strings once per rule."""
+    """One rational from JSON: an integer, or a "p/q" or decimal string
+    without exponent (Fraction("1e10000000") would build 10**10**7).
+    ``parsed`` holds every value already parsed: a code repeats the same
+    few strings once per rule."""
     if isinstance(value, bool):
         raise _InputError(f"{where}: {value!r} is not a rational")
     if not isinstance(value, (int, str)):
@@ -108,6 +111,8 @@ def _parse_rational(value, where: str, parsed: dict) -> Fraction:
     if value not in parsed:
         from fractions import Fraction
         try:
+            if isinstance(value, str) and not re.fullmatch(r"[+-]?\d+(/\d+|\.\d+)?", value):
+                raise ValueError(value)
             parsed[value] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise _InputError(f"{where}: {value!r} is not a rational") from exc
@@ -182,13 +187,9 @@ def _load_code(obj, where: str) -> SplittingACode:
             tuple(_parse_dist(cell, f"{where}: split_dist", parsed) for cell in rule)
             for rule in raw
         )
-    defects = rule_defects(rules, v)
+    defects = rule_defects(rules, v, u)
     if defects:
         raise _ClaimError([f"structure: FAIL ({d})" for d in defects])
-    if rules and len(rules[0]) != u:
-        raise _ClaimError(
-            [f"structure: FAIL (rules have {len(rules[0])} cells, expected u={u})"]
-        )
     try:
         return SplittingACode._on_checked_rules(
             u, v, rules, key_dist, source_dist, split_dist
@@ -221,7 +222,7 @@ def _design_json(design: SplittingDesign) -> str:
         "t": design.t,
         "blocks": [[list(part) for part in block] for block in design.blocks],
     }
-    if design.orbits:
+    if design.orbit_lengths:
         obj["orbit_lengths"] = list(design.orbit_lengths)
     return _dump_json(obj)
 
@@ -340,11 +341,10 @@ def cmd_develop(args: argparse.Namespace) -> int:
     obj = _read_json(args.input)
     family = _load_family(obj, args.input)
     design = develop_cyclic(family)
-    for orbit in design.orbits:
-        note = "full" if orbit.is_full else "short"
+    for index, length in enumerate(design.orbit_lengths, start=1):
+        note = "full" if length == design.v else "short"
         print(
-            f"orbit of base block {orbit.base_index + 1}: "
-            f"length {orbit.length} ({note})",
+            f"orbit of base block {index}: length {length} ({note})",
             file=sys.stderr,
         )
     _emit(_design_json(design), args.out)

@@ -22,21 +22,49 @@ def _block_key(block: Block) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(part) for part in block)
 
 
-def _check_block_shape(block: Block, u: int, c: int, v: int) -> None:
-    if len(block) != u:
-        raise ValueError(f"base block {block} has {len(block)} parts, expected {u}")
-    seen: set[int] = set()
-    for part in block:
-        if len(part) != c:
-            raise ValueError(
-                f"base block {block} has a part of size {len(part)}, expected {c}"
-            )
-        for x in part:
-            if not 1 <= x <= v:
-                raise ValueError(f"point {x} outside 1..{v} in base block {block}")
-            if x in seen:
-                raise ValueError(f"point {x} repeated within base block {block}")
-            seen.add(x)
+# How shape defects name a block, a part and a point, then their texts for no
+# blocks, a first block without parts and a first part without points.
+_BLOCK_WORDS = (
+    "block", "part", "point", "design has no blocks",
+    "block 1 is degenerate: {!r}", "block 1 is degenerate: {!r}",
+)
+
+
+def _shape_defects(
+    blocks, v: int, words=_BLOCK_WORDS, u: int | None = None, c: int | None = None
+) -> tuple[list[str], int, int]:
+    """Defects of blocks that should each be u pairwise-disjoint parts of
+    c points from 1..v, and that (c, u).  Given c (and u), every block is
+    held to them; otherwise (c, u) is read off the first block, and a
+    given u it lacks is one defect once the blocks agree among themselves.
+    """
+    name, part_name, point_name, no_blocks, no_parts, empty_part = words
+    if not blocks:
+        return [no_blocks], 0, 0
+    first = blocks[0]
+    if not first or not first[0]:
+        return [(empty_part if first else no_parts).format(first)], 0, 0
+    parts, size = (u, c) if c else (len(first), len(first[0]))
+    defects: list[str] = []
+    for idx, block in enumerate(blocks, start=1):
+        if len(block) != parts:
+            defects.append(f"{name} {idx} has {len(block)} {part_name}s, expected {parts}")
+            continue
+        seen: set[int] = set()
+        for part in block:
+            if len(part) != size:
+                defects.append(
+                    f"{name} {idx} has a {part_name} of size {len(part)}, expected {size}"
+                )
+            for x in part:
+                if not 1 <= x <= v:
+                    defects.append(f"{name} {idx} uses {point_name} {x} outside 1..{v}")
+                elif x in seen:
+                    defects.append(f"{name} {idx} repeats {point_name} {x}")
+                seen.add(x)
+    if not defects and u is not None and parts != u:
+        defects.append(f"{name}s have {parts} {part_name}s, expected u={u}")
+    return defects, size, parts
 
 
 @frozen
@@ -58,22 +86,9 @@ class BaseBlockFamily:
             raise ValueError("v, u, c must be positive")
         if self.c * self.u > self.v:
             raise ValueError(f"block size c*u={self.c * self.u} exceeds v={self.v}")
-        for block in self.base_blocks:
-            _check_block_shape(block, self.u, self.c, self.v)
-
-
-@frozen
-class OrbitInfo:
-    """One orbit of the translation action on blocks.
-
-    ``base_index`` identifies which base block generated the orbit
-    (0-based position in the family); the orbit is full when its length
-    reaches the modulus v.
-    """
-
-    base_index: int
-    length: int
-    is_full: bool
+        defects = _shape_defects(self.base_blocks, self.v, u=self.u, c=self.c)[0]
+        if self.base_blocks and defects:  # each defect begins with "block"
+            raise ValueError("base " + defects[0])
 
 
 @frozen
@@ -83,15 +98,14 @@ class SplittingDesign:
     Blocks form a multiset; duplicates are permitted and count with
     multiplicity.  ``t`` is the intended strength, metadata only --
     nothing is trusted until :func:`splitauth.verify.verify_design`
-    confirms it.  ``family`` and ``orbits`` record provenance when the
-    design came from cyclic development.
+    confirms it.  ``orbit_lengths`` lists the length of each orbit, in
+    base-block order, when the design came from cyclic development.
     """
 
     v: int
     blocks: tuple[Block, ...]
     t: int = 2
-    family: BaseBlockFamily | None = None
-    orbits: tuple[OrbitInfo, ...] = ()
+    orbit_lengths: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.v < 1:
@@ -103,10 +117,6 @@ class SplittingDesign:
     def b(self) -> int:
         return len(self.blocks)
 
-    @property
-    def orbit_lengths(self) -> tuple[int, ...]:
-        return tuple(orbit.length for orbit in self.orbits)
-
 
 def translate_block(block: Block, j: int, v: int) -> Block:
     """Shift every point of a block by j in Z_v, on points 1..v.
@@ -117,20 +127,19 @@ def translate_block(block: Block, j: int, v: int) -> Block:
     return tuple(tuple((x - 1 + j) % v + 1 for x in part) for part in block)
 
 
-def orbit_of(block: Block, v: int, base_index: int = 0) -> tuple[OrbitInfo, tuple[Block, ...]]:
+def orbit_of(block: Block, v: int) -> tuple[Block, ...]:
     """All distinct translates of a block, in translation order j = 0, 1, ...
 
     Two translates are equal when they have the same parts as an
     unordered set of point sets.  The shifts that fix the block form a
     subgroup of Z_v, so the orbit length is the least divisor j of v
     whose translate equals the block, and translates 0..j-1 are the
-    distinct ones.
+    distinct ones; the orbit is full when its length is v.
     """
     key = _block_key(block)
     periods = (j for j in range(1, v + 1) if v % j == 0)
     length = next(j for j in periods if _block_key(translate_block(block, j, v)) == key)
-    blocks = tuple(translate_block(block, j, v) for j in range(length))
-    return OrbitInfo(base_index=base_index, length=length, is_full=length == v), blocks
+    return tuple(translate_block(block, j, v) for j in range(length))
 
 
 def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:
@@ -141,18 +150,11 @@ def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:
     orbit the blocks repeat and count with multiplicity; deciding
     whether that was intended is the verifier's job, not ours.
     """
-    all_blocks: list[Block] = []
-    orbits: list[OrbitInfo] = []
-    for index, base in enumerate(family.base_blocks):
-        info, blocks = orbit_of(base, family.v, base_index=index)
-        orbits.append(info)
-        all_blocks.extend(blocks)
+    orbits = [orbit_of(base, family.v) for base in family.base_blocks]
     return SplittingDesign(
         v=family.v,
-        blocks=tuple(all_blocks),
-        t=2,
-        family=family,
-        orbits=tuple(orbits),
+        blocks=tuple(block for orbit in orbits for block in orbit),
+        orbit_lengths=tuple(map(len, orbits)),
     )
 
 

@@ -63,17 +63,6 @@ class DesignParams:
         return f"{self.t}-({self.v},{self.b},{self.l}={self.c}×{self.u},{self.lam})"
 
 
-@frozen
-class DerivedCounts:
-    """Exact replication numbers lambda_s for levels 1 <= s <= t."""
-
-    levels: dict[int, Fraction]
-
-    @property
-    def r(self) -> Fraction:
-        return self.levels[1]
-
-
 def lambda_level(params: DesignParams, s: int) -> Fraction:
     """Number of blocks covering a fixed s-subset, as an exact rational.
 
@@ -89,10 +78,6 @@ def lambda_level(params: DesignParams, s: int) -> Fraction:
     return Fraction(num, den)
 
 
-def derived_counts(params: DesignParams) -> DerivedCounts:
-    return DerivedCounts({s: lambda_level(params, s) for s in range(1, params.t + 1)})
-
-
 @frozen
 class AdmissibilityReport:
     """Outcome of every implemented necessary condition.
@@ -100,7 +85,7 @@ class AdmissibilityReport:
     ``identities_ok`` covers the counting identities
       replication:  b*l = v*r
       coverage:     C(v,t)*lambda = b * c^t * C(u,t)
-      pairwise:     r * c^(t-1) * (u-1) = lambda_2 * (v-1)   (t >= 2 only)
+      pairwise:     r * (u-1) * c = lambda_2 * (v-1)   (t >= 2 only)
     ``divisibility_ok`` maps each level s to the congruence
     lambda * C(v-s,t-s) = 0 mod c^(t-s) * C(u-s,t-s), and ``fisher_ok``
     is the block-count bound b*u >= v (None when t < 2: not applicable).
@@ -126,8 +111,8 @@ def check_identities(params: DesignParams) -> dict[str, bool]:
     }
     if params.t >= 2:
         lam2 = lambda_level(params, 2)
-        lhs = r * params.c ** (params.t - 1) * (params.u - 1)
-        out["pairwise"] = lhs == lam2 * (params.v - 1)
+        # the pairs through one point, counted by block and by partner
+        out["pairwise"] = r * (params.u - 1) * params.c == lam2 * (params.v - 1)
     return out
 
 

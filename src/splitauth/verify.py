@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations, product
 
+from . import construct
 from ._record import frozen
 from .construct import Block, SplittingDesign
 from .params import DesignParams, binomial, lambda_level
@@ -32,55 +33,6 @@ class VerificationResult:
     params: DesignParams | None
     defects: tuple[str, ...] = ()
     witness: tuple[tuple[int, ...], int, int] | None = None
-
-
-def _structure(blocks: tuple[Block, ...], v: int) -> tuple[list[str], int, int]:
-    """Structural defects of a block list, plus the inferred (c, u).
-
-    (c, u) is read off the first block; every block must consist of u
-    pairwise-disjoint parts of c points drawn from 1..v.  Metadata is
-    never trusted; mixed shapes are defects.  Returns c = u = 0 when
-    the list is empty or the first block is degenerate.
-    """
-    if not blocks:
-        return ["design has no blocks"], 0, 0
-    first = blocks[0]
-    u = len(first)
-    c = len(first[0]) if first else 0
-    if u == 0 or c == 0:
-        return [f"block 1 is degenerate: {first!r}"], 0, 0
-    return _shape_defects(blocks, v, u, c, ("block", "part", "point")), c, u
-
-
-def _shape_defects(blocks, v: int, u: int, c: int, nouns: tuple[str, ...]) -> list[str]:
-    """Defects of blocks that should each be u pairwise-disjoint parts of
-    c points from 1..v.  ``nouns`` names a block, a part and a point in
-    the messages; a code says rule, cell and message."""
-    name, part_name, point_name = nouns
-    defects: list[str] = []
-    for idx, block in enumerate(blocks, start=1):
-        if len(block) != u:
-            defects.append(f"{name} {idx} has {len(block)} {part_name}s, expected {u}")
-            continue
-        seen: set[int] = set()
-        for part in block:
-            if len(part) != c:
-                defects.append(
-                    f"{name} {idx} has a {part_name} of size {len(part)}, expected {c}"
-                )
-            for x in part:
-                if not 1 <= x <= v:
-                    defects.append(f"{name} {idx} uses {point_name} {x} outside 1..{v}")
-                elif x in seen:
-                    defects.append(f"{name} {idx} repeats {point_name} {x}")
-                seen.add(x)
-    return defects
-
-
-def check_structure(design: SplittingDesign) -> list[str]:
-    """Structural defects of a design's blocks (empty list = clean)."""
-    defects, _, _ = _structure(design.blocks, design.v)
-    return defects
 
 
 def covered_subsets(block: Block, t: int) -> list[tuple[int, ...]]:
@@ -105,7 +57,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     """
     if t < 1:
         raise ValueError(f"strength t={t} must be positive")
-    defects, c, u = _structure(design.blocks, design.v)
+    defects, c, u = construct._shape_defects(design.blocks, design.v)
     if defects:
         return VerificationResult(ok=False, params=None, defects=tuple(defects))
     return _verify_shaped(design, t, c, u)

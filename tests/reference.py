@@ -2,8 +2,9 @@
 
 These are the original Fraction-per-transcript security enumeration,
 the lexicographic scan over all C(v, t) subsets in design verification
-and the set-keyed orbit walk, kept verbatim apart from imports and
-from ``split_weight``, which was a method of ``SplittingACode``.  They
+and the set-keyed orbit walk, kept verbatim apart from imports, from
+``split_weight``, which was a method of ``SplittingACode``, and from
+``orbit_of``, which returns only the translates now.  They
 are slow by design: every value they produce is computed the direct
 way, so tests compare the library's counting engine against them on
 small inputs.
@@ -18,7 +19,6 @@ from itertools import combinations, product
 
 from splitauth import (
     DesignParams,
-    OrbitInfo,
     PosteriorTable,
     SecurityReport,
     SplittingACode,
@@ -27,8 +27,7 @@ from splitauth import (
     binomial,
     translate_block,
 )
-from splitauth.construct import Block, _block_key
-from splitauth.verify import _structure
+from splitauth.construct import Block, _block_key, _shape_defects
 
 
 def split_weight(code: SplittingACode, rule: int, source: int, message: int) -> Fraction:
@@ -262,7 +261,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     """
     if t < 1:
         raise ValueError(f"strength t={t} must be positive")
-    defects, c, u = _structure(design.blocks, design.v)
+    defects, c, u = _shape_defects(design.blocks, design.v)
     if defects:
         return VerificationResult(ok=False, params=None, defects=tuple(defects))
     if t > u:
@@ -299,7 +298,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     return VerificationResult(ok=True, params=params)
 
 
-def orbit_of(block: Block, v: int, base_index: int = 0) -> tuple[OrbitInfo, tuple[Block, ...]]:
+def orbit_of(block: Block, v: int) -> tuple[Block, ...]:
     """All distinct translates of a block, in translation order j = 0, 1, ...
 
     Two translates are equal when they have the same parts as an
@@ -313,5 +312,4 @@ def orbit_of(block: Block, v: int, base_index: int = 0) -> tuple[OrbitInfo, tupl
         if key not in seen:
             seen.add(key)
             blocks.append(translate)
-    info = OrbitInfo(base_index=base_index, length=len(blocks), is_full=len(blocks) == v)
-    return info, tuple(blocks)
+    return tuple(blocks)

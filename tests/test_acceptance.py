@@ -14,7 +14,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -156,7 +156,7 @@ class TestFamilySuite:
         for c, n in product((1, 2, 3), (1, 2, 3)):
             v = 2 * c * c * n + 1
             design = develop_cyclic(family_u2(c, n))
-            assert all(orbit.is_full for orbit in design.orbits)
+            assert design.orbit_lengths == (v,) * n
             result = verify_design(design, 2)
             assert result.ok
             assert result.params == DesignParams(
@@ -292,16 +292,24 @@ class TestCrossChecks:
     """Criterion 9: counting identities hold on every verified design."""
 
     def all_designs(self):
-        yield SplittingDesign(v=9, blocks=TABLE1_RULES)
-        yield SplittingDesign(v=17, blocks=TABLE2_RULES)
+        """Each design with the strength it verifies at."""
+        yield SplittingDesign(v=9, blocks=TABLE1_RULES), 2
+        yield SplittingDesign(v=17, blocks=TABLE2_RULES), 2
         for c, n in product((1, 2, 3), (1, 2, 3)):
-            yield develop_cyclic(family_u2(c, n))
+            yield develop_cyclic(family_u2(c, n)), 2
+        # every way to pick three disjoint pairs: 3-(6,15,6=2×3,6), 3-(7,105,6=2×3,24)
+        for v in (6, 7):
+            blocks = {
+                tuple(sorted(tuple(sorted(p[k : k + 2])) for k in (0, 2, 4)))
+                for p in permutations(range(1, v + 1), 6)
+            }
+            yield SplittingDesign(v=v, blocks=tuple(sorted(blocks))), 3
 
     def test_level_counts_match_brute_force(self):
-        for design in self.all_designs():
-            params = verify_design(design, 2).params
+        for design, t in self.all_designs():
+            params = verify_design(design, t).params
             assert params is not None
-            for s in (1, 2):
+            for s in range(1, t + 1):
                 expected = lambda_level(params, s)
                 counts = Counter()
                 for block in design.blocks:
@@ -311,8 +319,8 @@ class TestCrossChecks:
                 assert all(counts[subset] == expected for subset in subsets)
 
     def test_admissibility_of_verified_parameters(self):
-        for design in self.all_designs():
-            params = verify_design(design, 2).params
+        for design, t in self.all_designs():
+            params = verify_design(design, t).params
             assert params is not None
             report = admissible(params)
             assert report.all_ok, report.failures

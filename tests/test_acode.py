@@ -42,6 +42,13 @@ class TestRuleDefects:
         rules = (((1, 2), (3, 12)),)
         assert any("outside 1..9" in d for d in rule_defects(rules, 9))
 
+    def test_declared_cell_count(self, table1_code):
+        assert rule_defects(table1_code.rules, 9, 2) == []
+        assert rule_defects(table1_code.rules, 9, 3) == ["rules have 2 cells, expected u=3"]
+        # reported only once the rules agree among themselves
+        rules = (((1, 2), (3, 5)), ((1, 2), (3, 12)))
+        assert rule_defects(rules, 9, 3) == ["rule 2 uses message 12 outside 1..9"]
+
 
 class TestSplittingACode:
     def test_defaults_are_uniform(self, table1_code):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,7 +134,7 @@ class TestDevelop:
         )
         rc, _, err = run_cli(["develop", str(bad)], capsys)
         assert rc == 2
-        assert "repeated" in err
+        assert err == f"error: {bad}: base block 1 repeats point 2\n"
 
     def test_missing_field(self, tmp_path, capsys):
         bad = tmp_path / "family.json"
@@ -373,6 +374,52 @@ class TestAnalyzeCommand:
         assert rc == 0
         assert json.loads(out)["key_dist"] == ["0", "0", "1"] + ["0"] * 6
 
+    @pytest.mark.parametrize("entry", ["1e1", "1E-2", "1_000", " 1/9", "1/9 ", "+1.5e0"])
+    def test_exponents_underscores_and_spaces_rejected(
+        self, entry, table1_code_file, tmp_path, capsys
+    ):
+        obj = json.loads(table1_code_file.read_text())
+        obj["key_dist"] = ["1/9"] * 8 + [entry]
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(obj))
+        rc, out, err = run_cli(["analyze", str(target)], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {target}: key_dist: {entry!r} is not a rational\n"
+
+    @pytest.mark.parametrize("entry", ["-0", "+3/27", "007/63", "0.111", "+0.5"])
+    def test_plain_rationals_accepted(self, entry, tmp_path, capsys):
+        from fractions import Fraction
+
+        rest = str(1 - Fraction(entry))
+        target = tmp_path / "code.json"
+        target.write_text(json.dumps(
+            {"u": 1, "v": 2, "rules": [[[1]], [[2]]], "key_dist": [entry, rest]}
+        ))
+        rc, out, _ = run_cli(["export", str(target), "-f", "json"], capsys)
+        assert rc == 0
+        assert json.loads(out)["key_dist"] == [str(Fraction(entry)), rest]
+
+
+class TestOverlongIntegers:
+    """A JSON integer past Python's digit limit for int() is malformed
+    input, not a crash."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("develop", '{"v": 1%s, "u": 2, "c": 1, "base_blocks": []}'),
+            ("analyze", '{"u": 1%s, "v": 9, "rules": []}'),
+        ],
+        ids=["develop", "analyze"],
+    )
+    def test_exit_two(self, command, text, tmp_path, capsys):
+        target = tmp_path / "big.json"
+        target.write_text(text % ("0" * 5000))
+        rc, out, err = run_cli([command, str(target)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {target}: invalid JSON: ")
+        assert err.count("\n") == 1 and "digits" in err
+
 
 class TestShapeCheckedOnce:
     """A command checks the structure of each rule set once, and counts
@@ -380,18 +427,16 @@ class TestShapeCheckedOnce:
 
     @pytest.fixture()
     def checked(self, monkeypatch):
-        import splitauth.acode
-        import splitauth.verify
+        import splitauth.construct
 
         sizes = []
-        check = splitauth.verify._shape_defects
+        check = splitauth.construct._shape_defects
 
-        def counting(blocks, *args):
+        def counting(blocks, *args, **kwargs):
             sizes.append(len(blocks))
-            return check(blocks, *args)
+            return check(blocks, *args, **kwargs)
 
-        monkeypatch.setattr(splitauth.verify, "_shape_defects", counting)
-        monkeypatch.setattr(splitauth.acode, "_shape_defects", counting)
+        monkeypatch.setattr(splitauth.construct, "_shape_defects", counting)
         return sizes
 
     @pytest.fixture()
@@ -420,7 +465,7 @@ class TestShapeCheckedOnce:
     def test_demo(self, checked, counted, capsys):
         rc, _, _ = run_cli(["demo", "table1"], capsys)
         assert rc == 0
-        assert checked == [9]
+        assert checked == [1, 9]  # the family's one base block, then the rules
         assert counted == [9]
 
     def test_public_constructor_still_checks(self, table1_code, checked):
@@ -516,6 +561,15 @@ class TestCostBoundedByInput:
             "defect: subset (199999, 200000) is covered 1 times, "
             "but (1, 2) is covered 0 times\nFAIL\n"
         )
+
+    def test_exponent_weight(self, tmp_path):
+        # Fraction("1e10000000") would build a ten-million-digit integer
+        obj = {"u": 1, "v": 1, "rules": [[[1]]], "key_dist": ["1e10000000"]}
+        start = time.perf_counter()
+        proc = self.run_process(tmp_path, ["analyze"], obj)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(": key_dist: '1e10000000' is not a rational\n")
 
     def test_analyze(self, tmp_path):
         proc = self.run_process(

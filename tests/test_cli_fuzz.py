@@ -17,7 +17,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitauth.cli import main
@@ -128,15 +128,24 @@ COMMANDS = (
     ["verify", "-"],
     *(["verify", "-", "-t", str(t)] for t in range(-1, 5)),
     ["to-code", "-"],
-    *(["analyze", "-", "--orders", str(i)] for i in range(-1, 5)),
+    *(["analyze", "-", "--orders", str(i)] for i in range(-1, 7)),
     *(["export", "-", "-f", f] for f in ("csv", "markdown", "json")),
 )
 
 
-@given(obj=artifacts())
+def _code(u: int, **fields) -> str:
+    """A one-rule code with u single-message cells, plus ``fields``."""
+    return json.dumps({"u": u, "v": u, "rules": [[[m] for m in range(1, u + 1)]], **fields})
+
+
+@given(text=artifacts().map(json.dumps))
+@example(text=_code(3, source_dist=["0", "0", "1"]))  # fewer weighted sources than orders
+@example(text=_code(2, key_dist=["1e5000"]))
+@example(text='{"u": 1' + "0" * 5000 + ', "v": 9, "rules": []}')
+@example(text='{"v": 1' + "0" * 5000 + ', "u": 2, "c": 1, "base_blocks": []}')
+@example(text=_code(12))
 @settings(max_examples=150, deadline=None)
-def test_exit_contract(obj):
-    text = json.dumps(obj)
+def test_exit_contract(text):
     for argv in COMMANDS:
         rc, out, err = _run(argv, text)
         assert rc in (0, 1, 2), (argv, text)

@@ -56,35 +56,32 @@ class TestTranslateBlock:
 
 class TestOrbitOf:
     def test_reference_orbits_are_full(self):
-        info, blocks = orbit_of(((1, 2), (3, 5)), 9)
-        assert info.length == 9 and info.is_full
-        assert len(blocks) == 9
-        info, blocks = orbit_of(((1, 2), (11, 13)), 17)
-        assert info.length == 17 and info.is_full
+        assert len(orbit_of(((1, 2), (3, 5)), 9)) == 9
+        assert len(orbit_of(((1, 2), (11, 13)), 17)) == 17
 
     def test_part_swapped_translate_is_same_block(self):
         # shifting {1}|{2} by 1 mod 2 only exchanges part roles
-        info, blocks = orbit_of(((1,), (2,)), 2)
-        assert info.length == 1
-        assert blocks == (((1,), (2,)),)
+        assert orbit_of(((1,), (2,)), 2) == (((1,), (2,)),)
 
     def test_short_orbit_detected(self):
         # {1,4} | {2,5} over v=6 repeats after three shifts
-        info, blocks = orbit_of(((1, 4), (2, 5)), 6)
-        assert info.length == 3
-        assert not info.is_full
+        assert orbit_of(((1, 4), (2, 5)), 6) == (
+            ((1, 4), (2, 5)),
+            ((2, 5), (3, 6)),
+            ((3, 6), (4, 1)),
+        )
 
     @given(small_blocks())
     def test_orbit_length_divides_modulus(self, block_and_v):
         block, v = block_and_v
-        info, blocks = orbit_of(block, v)
-        assert v % info.length == 0
-        assert len(set(map(block_key, blocks))) == info.length
+        blocks = orbit_of(block, v)
+        assert v % len(blocks) == 0
+        assert len(set(map(block_key, blocks))) == len(blocks)
 
     @given(small_blocks())
     def test_orbit_closed_under_translation(self, block_and_v):
         block, v = block_and_v
-        _, blocks = orbit_of(block, v)
+        blocks = orbit_of(block, v)
         keys = set(map(block_key, blocks))
         for b in blocks:
             assert block_key(translate_block(b, 1, v)) in keys
@@ -102,7 +99,7 @@ class TestDevelopCyclic:
         assert table2_design.orbit_lengths == (17, 17)
 
     def test_block_count_is_sum_of_orbit_lengths(self, table2_design):
-        assert table2_design.b == sum(o.length for o in table2_design.orbits)
+        assert table2_design.b == sum(table2_design.orbit_lengths)
 
     def test_empty_family_gives_empty_design(self):
         design = develop_cyclic(BaseBlockFamily(v=5, u=2, c=1, base_blocks=()))
@@ -126,13 +123,33 @@ class TestDevelopCyclic:
         )
         assert original == shifted
 
-    def test_provenance_recorded(self, table2_design):
-        assert table2_design.family == family_u2(2, 2)
-        assert [o.base_index for o in table2_design.orbits] == [0, 1]
+    def test_provenance_recorded(self):
+        # one orbit length per base block, in base-block order
+        base = (((1, 2), (3, 5)), ((1, 4), (2, 5)))
+        design = develop_cyclic(BaseBlockFamily(v=6, u=2, c=2, base_blocks=base))
+        assert design.orbit_lengths == (6, 3)
+        assert design.blocks[6:] == orbit_of(base[1], 6)
 
     def test_structurally_invalid_family_rejected(self):
-        with pytest.raises(ValueError, match="repeated"):
+        with pytest.raises(ValueError, match="^base block 1 repeats point 2$"):
             BaseBlockFamily(v=9, u=2, c=2, base_blocks=(((1, 2), (2, 5)),))
+
+    @pytest.mark.parametrize(
+        "base_blocks, defect",
+        [
+            ((((1, 2), (3, 5)), ((1, 2), (3,))), "base block 2 has a part of size 1, expected 2"),
+            ((((1, 2), (3, 5)), ((1, 2),)), "base block 2 has 1 parts, expected 2"),
+            ((((1, 2), (3, 10)),), "base block 1 uses point 10 outside 1..9"),
+            ((((1, 2), (3, 4), (5, 6)), ((1, 2), (3, 5))), "base block 1 has 3 parts, expected 2"),
+            ((((1,), (3,)),), "base block 1 has a part of size 1, expected 2"),
+            (((),), "base block 1 is degenerate: ()"),
+            ((((), ()),), "base block 1 is degenerate: ((), ())"),
+        ],
+    )
+    def test_first_base_block_defect_raised(self, base_blocks, defect):
+        with pytest.raises(ValueError) as raised:
+            BaseBlockFamily(v=9, u=2, c=2, base_blocks=base_blocks)
+        assert str(raised.value) == defect
         with pytest.raises(ValueError, match="outside"):
             BaseBlockFamily(v=9, u=2, c=2, base_blocks=(((1, 2), (3, 10)),))
         with pytest.raises(ValueError, match="parts"):

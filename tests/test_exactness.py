@@ -190,15 +190,11 @@ class TestVerifyAgainstReference:
 
 
 def reference_develop(family: BaseBlockFamily) -> SplittingDesign:
-    orbits = [
-        reference.orbit_of(base, family.v, base_index=k)
-        for k, base in enumerate(family.base_blocks)
-    ]
+    orbits = [reference.orbit_of(base, family.v) for base in family.base_blocks]
     return SplittingDesign(
         v=family.v,
-        blocks=tuple(b for _, blocks in orbits for b in blocks),
-        family=family,
-        orbits=tuple(info for info, _ in orbits),
+        blocks=tuple(b for blocks in orbits for b in blocks),
+        orbit_lengths=tuple(len(blocks) for blocks in orbits),
     )
 
 
@@ -228,4 +224,4 @@ class TestOrbitsAgainstReference:
         u = data.draw(st.integers(1, v // c))
         points = data.draw(st.permutations(range(1, v + 1)))[: c * u]
         block = tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u))
-        assert orbit_of(block, v, 3) == reference.orbit_of(block, v, 3)
+        assert orbit_of(block, v) == reference.orbit_of(block, v)

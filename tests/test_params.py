@@ -13,7 +13,6 @@ from splitauth import (
     check_divisibility,
     check_fisher,
     check_identities,
-    derived_counts,
     lambda_level,
 )
 
@@ -100,9 +99,7 @@ class TestLambdaLevel:
             lambda_level(P9, 3)
 
     def test_derived_counts(self):
-        counts = derived_counts(P17)
-        assert counts.r == 8
-        assert counts.levels == {1: Fraction(8), 2: Fraction(1)}
+        assert [lambda_level(P17, s) for s in (1, 2)] == [Fraction(8), Fraction(1)]
 
 
 class TestIdentities:
@@ -117,6 +114,13 @@ class TestIdentities:
     def test_perturbed_block_count_fails_replication(self):
         bad = DesignParams(t=2, v=9, b=8, c=2, u=2, lam=1)
         assert check_identities(bad)["replication"] is False
+
+    def test_pairwise_identity_at_strength_three(self):
+        # the 15 pair partitions of 6 points: r = 15, lambda_2 = 12, and
+        # r * (u-1) * c = 60 = lambda_2 * (v-1)
+        p = DesignParams(t=3, v=6, b=15, c=2, u=3, lam=6)
+        assert (lambda_level(p, 1), lambda_level(p, 2)) == (15, 12)
+        assert all(check_identities(p).values())
 
     def test_pairwise_identity_needs_strength_two(self):
         p = DesignParams(t=1, v=9, b=9, c=2, u=2, lam=4)

@@ -14,10 +14,8 @@ import pytest
 from splitauth import (
     AdmissibilityReport,
     BaseBlockFamily,
-    DerivedCounts,
     DesignParams,
     EncodingMatrix,
-    OrbitInfo,
     PosteriorTable,
     SecurityReport,
     SplittingACode,
@@ -29,7 +27,6 @@ from conftest import TABLE1_RULES
 
 HALF = Fraction(1, 2)
 BASE = (((1, 2), (3, 5)),)
-FAMILY = BaseBlockFamily(9, 2, 2, BASE)
 PARAMS = DesignParams(2, 9, 9, 2, 2, 1)
 KEYS = (Fraction(1, 9),) * 9
 TABLE = PosteriorTable({1: HALF, 2: HALF}, {1: Fraction(1, 9)}, {(1, 1): HALF}, (), True)
@@ -64,7 +61,6 @@ CASES = [
         {"l": 4},
         {"lam": 2},
     ),
-    Case(DerivedCounts, ("levels",), ({1: Fraction(1)},), 1, {}, {"levels": {}}),
     Case(
         AdmissibilityReport,
         ("identities_ok", "divisibility_ok", "fisher_ok", "failures"),
@@ -77,14 +73,11 @@ CASES = [
         BaseBlockFamily, ("v", "u", "c", "base_blocks"), (9, 2, 2, BASE), 4, {}, {"v": 17}
     ),
     Case(
-        OrbitInfo, ("base_index", "length", "is_full"), (0, 9, True), 3, {}, {"length": 3}
-    ),
-    Case(
         SplittingDesign,
-        ("v", "blocks", "t", "family", "orbits"),
-        (9, TABLE1_RULES, 2, FAMILY, (OrbitInfo(0, 9, True),)),
+        ("v", "blocks", "t", "orbit_lengths"),
+        (9, TABLE1_RULES, 2, (9,)),
         2,
-        {"t": 2, "family": None, "orbits": ()},
+        {"t": 2, "orbit_lengths": ()},
         {"t": 1},
     ),
     Case(
@@ -131,7 +124,6 @@ CASES = [
 HASHABLE = {
     DesignParams,
     BaseBlockFamily,
-    OrbitInfo,
     SplittingDesign,
     VerificationResult,
     SplittingACode,
@@ -254,19 +246,10 @@ def test_design_params_messages(args, message):
         ((9, 0, 2, ()), "v, u, c must be positive"),
         ((9, 2, 0, ()), "v, u, c must be positive"),
         ((3, 2, 2, ()), "block size c*u=4 exceeds v=3"),
-        ((9, 2, 2, (((1, 2),),)), "base block ((1, 2),) has 1 parts, expected 2"),
-        (
-            (9, 2, 2, (((1, 2), (3,)),)),
-            "base block ((1, 2), (3,)) has a part of size 1, expected 2",
-        ),
-        (
-            (9, 2, 2, (((1, 2), (3, 10)),)),
-            "point 10 outside 1..9 in base block ((1, 2), (3, 10))",
-        ),
-        (
-            (9, 2, 2, (((1, 2), (2, 5)),)),
-            "point 2 repeated within base block ((1, 2), (2, 5))",
-        ),
+        ((9, 2, 2, (((1, 2),),)), "base block 1 has 1 parts, expected 2"),
+        ((9, 2, 2, (((1, 2), (3,)),)), "base block 1 has a part of size 1, expected 2"),
+        ((9, 2, 2, (((1, 2), (3, 10)),)), "base block 1 uses point 10 outside 1..9"),
+        ((9, 2, 2, (((1, 2), (2, 5)),)), "base block 1 repeats point 2"),
     ],
 )
 def test_base_block_family_messages(args, message):

@@ -9,7 +9,6 @@ from splitauth import (
     SplittingDesign,
     admissible,
     binomial,
-    check_structure,
     covered_subsets,
     downgrade_check,
     lambda_level,
@@ -24,30 +23,42 @@ def count_covering_blocks(design: SplittingDesign, points: tuple[int, ...]) -> i
     return sum(target in covered_subsets(block, len(target)) for block in design.blocks)
 
 
+def structure_defects(v: int, blocks) -> tuple[str, ...]:
+    return verify_design(SplittingDesign(v=v, blocks=blocks), 1).defects
+
+
 class TestCheckStructure:
     def test_reference_designs_clean(self, table1_design, table2_design):
-        assert check_structure(table1_design) == []
-        assert check_structure(table2_design) == []
+        assert verify_design(table1_design, 2).defects == ()
+        assert verify_design(table2_design, 2).defects == ()
 
     def test_overlapping_parts(self):
-        design = SplittingDesign(v=9, blocks=(((1, 2), (2, 5)),))
-        assert any("repeats point 2" in d for d in check_structure(design))
+        assert structure_defects(9, (((1, 2), (2, 5)),)) == ("block 1 repeats point 2",)
 
     def test_ragged_part(self):
-        design = SplittingDesign(v=9, blocks=(((1, 2), (3, 5)), ((1,), (3, 5))))
-        assert any("size 1" in d for d in check_structure(design))
+        assert structure_defects(9, (((1, 2), (3, 5)), ((1,), (3, 5)))) == (
+            "block 2 has a part of size 1, expected 2",
+        )
 
     def test_point_out_of_range(self):
-        design = SplittingDesign(v=9, blocks=(((1, 2), (3, 10)),))
-        assert any("outside 1..9" in d for d in check_structure(design))
+        assert structure_defects(9, (((1, 2), (3, 10)),)) == (
+            "block 1 uses point 10 outside 1..9",
+        )
 
     def test_part_count_mismatch(self):
-        design = SplittingDesign(v=9, blocks=(((1, 2), (3, 5)), ((1, 2),)))
-        assert any("1 parts, expected 2" in d for d in check_structure(design))
+        assert structure_defects(9, (((1, 2), (3, 5)), ((1, 2),))) == (
+            "block 2 has 1 parts, expected 2",
+        )
 
     def test_empty_design(self):
-        design = SplittingDesign(v=9, blocks=())
-        assert check_structure(design) == ["design has no blocks"]
+        assert structure_defects(9, ()) == ("design has no blocks",)
+
+    @pytest.mark.parametrize(
+        "blocks, defect",
+        [(((),), "block 1 is degenerate: ()"), ((((), ()),), "block 1 is degenerate: ((), ())")],
+    )
+    def test_degenerate_first_block(self, blocks, defect):
+        assert structure_defects(9, blocks) == (defect,)
 
 
 class TestCoveredSubsets:
