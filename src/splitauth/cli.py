@@ -57,8 +57,13 @@ def _read_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past int()'s digit limit
+    except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses literals past its digit limit
+        raise _InputError(
+            f"{path}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits():,} digits"
+        ) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -269,12 +274,15 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     """Claim-by-claim report on orders 0..i_max, ending in PASS or FAIL,
     and the overall verdict.  The code's rules must already be free of
     structural defects."""
-    from .security import analyze, rule_count_floor
-    from .verify import _verify_shaped
+    from .security import _analyze, rule_count_floor
+    from .verify import _coverage, _verify_shaped
+    # One count of the covered (i_max+1)-subsets serves both the design
+    # verdict and, for a uniform code, every deception order.
+    counts = _coverage(code.rules, i_max + 1)
     design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
-    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
+    design_result = _verify_shaped(design, i_max + 1, code.c, code.u, counts)
     try:
-        report = analyze(code, i_max=i_max)
+        report = _analyze(code, i_max, counts)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     lines: list[str] = []

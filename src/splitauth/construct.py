@@ -34,9 +34,10 @@ def _shape_defects(
     blocks, v: int, words=_BLOCK_WORDS, u: int | None = None, c: int | None = None
 ) -> tuple[list[str], int, int]:
     """Defects of blocks that should each be u pairwise-disjoint parts of
-    c points from 1..v, and that (c, u).  Given c (and u), every block is
-    held to them; otherwise (c, u) is read off the first block, and a
-    given u it lacks is one defect once the blocks agree among themselves.
+    c points from 1..v, and that (c, u).  A given c or u holds every
+    block to it; otherwise it is read off the first block.  Blocks that
+    all lack a given u by the same part count get one defect for it, once
+    they have no other.
     """
     name, part_name, point_name, no_blocks, no_parts, empty_part = words
     if not blocks:
@@ -44,7 +45,9 @@ def _shape_defects(
     first = blocks[0]
     if not first or not first[0]:
         return [(empty_part if first else no_parts).format(first)], 0, 0
-    parts, size = (u, c) if c else (len(first), len(first[0]))
+    parts, size = len(first), c or len(first[0])
+    if u is not None and (c or any(len(block) != parts for block in blocks)):
+        parts = u
     defects: list[str] = []
     for idx, block in enumerate(blocks, start=1):
         if len(block) != parts:

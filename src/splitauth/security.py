@@ -1,23 +1,34 @@
 """Exact security analysis of splitting authentication codes.
 
-Everything is computed by exhaustive enumeration over rules, sources
-and message choices.  The distributions are scaled once to integers
-over the least common multiples of their denominators, so masses add
-up as ints and each reported probability is one ``Fraction``.  The
-threat model is spoofing of order i: the opponent observes i messages
-sent under one rule for i distinct sources, then injects a new
+The threat model is spoofing of order i: the opponent observes i
+messages sent under one rule for i distinct sources, then injects a new
 message, succeeding when the receiver accepts it as a source the
 opponent has not already used.  Order 0 is impersonation, order 1 is
 substitution.
+
+Two exact paths give the same ``Fraction``s.  When the key, source and
+split distributions are all uniform, every transcript has one mass and
+every value is a count of rules: an observed set O and a spoofed
+message x in a cell not yet seen are an (i+1)-subset that the rule
+covers.  So orders 1..i_max come from one count of the covered
+t-subsets at t = i_max + 1 (b·C(u,t)·c^t for b rules), each lower order
+from the one above it, and order 0 and the posteriors from n(s, m), the
+number of rules with message m in cell s (a b·u·c scan).  Any other
+code is enumerated exhaustively over rules, sources and message
+choices, b·C(u,i)·c^i per order i, with the distributions scaled once
+to integers over the least common multiples of their denominators, so
+masses add up as ints and each reported probability is one
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 
+from . import verify
 from ._record import frozen
 from .acode import SplittingACode, common_denominator
 from .params import binomial
@@ -98,7 +109,35 @@ def _masses(code: SplittingACode) -> _Masses:
     return _Masses(key, key_den, source, source_den, split, split_den)
 
 
-def _posteriors(code: SplittingACode, masses: _Masses) -> PosteriorTable:
+def _is_uniform(code: SplittingACode) -> bool:
+    """Whether the key, source and split distributions are all uniform.
+    ``count`` tests identity before equality, and the default and the
+    parsed distributions repeat one object, so this is a cheap scan."""
+    dists = [code.key_dist, code.source_dist]
+    if code.split_dist is not None:
+        dists.extend(chain.from_iterable(code.split_dist))
+    return all(d.count(d[0]) == len(d) for d in dists)
+
+
+# Masses p(s, m) and p(m) as integers over the denominator that comes last.
+_Joint = tuple[dict[tuple[int, int], int], list[int], int]
+
+
+def _cell_counts(code: SplittingACode) -> _Joint:
+    """The masses p(s, m) and p(m) of a uniform code as counts over
+    b·u·c: n(s, m), the number of rules with message m in cell s, and
+    Σ_s n(s, m), the number of rules that accept m (indexed by message)."""
+    joint = {}
+    marginals = [0] * (code.v + 1)
+    for s in range(code.u):
+        for m, n in Counter(chain.from_iterable(rule[s] for rule in code.rules)).items():
+            joint[s + 1, m] = n
+            marginals[m] += n
+    return joint, marginals, code.num_rules * code.u * code.c
+
+
+def _joint_masses(code: SplittingACode, masses: _Masses) -> _Joint:
+    """The masses p(s, m) and p(m) from the scaled distributions."""
     joint: dict[tuple[int, int], int] = defaultdict(int)
     marginals = [0] * (code.v + 1)
     for k_e, cells in zip(masses.key, masses.split):
@@ -111,11 +150,21 @@ def _posteriors(code: SplittingACode, masses: _Masses) -> PosteriorTable:
                 mass = k_e * w_s * w
                 joint[s, m] += mass
                 marginals[m] += mass
-    den = masses.key_den * masses.source_den * masses.split_den
+    return joint, marginals, masses.key_den * masses.source_den * masses.split_den
+
+
+def _posteriors(
+    code: SplittingACode,
+    joint: dict[tuple[int, int], int],
+    marginals: list[int],
+    den: int,
+) -> PosteriorTable:
+    """The table from integer masses p(s, m) and p(m) over ``den``;
+    ``marginals`` is indexed by message, slot 0 unused."""
     priors = {s: code.source_dist[s - 1] for s in range(1, code.u + 1)}
     unreachable = tuple(m for m in range(1, code.v + 1) if not marginals[m])
     entries = {
-        (s, m): Fraction(joint[s, m], marginals[m])
+        (s, m): Fraction(joint.get((s, m), 0), marginals[m])
         for m in range(1, code.v + 1)
         if marginals[m]
         for s in range(1, code.u + 1)
@@ -138,7 +187,9 @@ def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
     the prior; unreachable messages are reported separately as the
     cause.
     """
-    return _posteriors(code, _masses(code))
+    if _is_uniform(code):
+        return _posteriors(code, *_cell_counts(code))
+    return _posteriors(code, *_joint_masses(code, _masses(code)))
 
 
 def _deception(code: SplittingACode, masses: _Masses, i: int) -> Fraction:
@@ -179,17 +230,55 @@ def _deception(code: SplittingACode, masses: _Masses, i: int) -> Fraction:
     )
 
 
+def _coverage_deception(
+    code: SplittingACode, top: int, lowest: int, counts
+) -> dict[int, Fraction]:
+    """P_d_i of a uniform code for top >= i >= lowest, from ``counts``:
+    each covered (top+1)-subset and the number of rules that cover it.
+    At top = u no subset is counted, so order u alone reads 0: nothing is
+    left to spoof.
+
+    Under a rule, an observed set O and a spoofed message x in an unseen
+    cell form an (i+1)-subset that the rule covers, so the gain of x on O
+    is cov_{i+1}(O ∪ {x}) transcripts of one mass, and the opponent's
+    best is the largest count over the (i+1)-subsets holding O.  A rule
+    covering an i-subset S leaves (u-i)·c messages in its unseen cells,
+    so the counts of order i-1 follow: Σ_x cov_{i+1}(S ∪ {x}) =
+    (u-i)·c·cov_i(S).
+    """
+    u, c = code.u, code.c
+    deception = {}
+    for i in range(top, lowest - 1, -1):
+        best: dict[tuple[int, ...], int] = {}
+        below: Counter[tuple[int, ...]] = Counter()
+        for subset, n in counts.items():
+            for seen in combinations(subset, i):
+                if best.get(seen, 0) < n:
+                    best[seen] = n
+                if i > lowest:
+                    below[seen] += n
+        deception[i] = Fraction(
+            sum(best.values()), code.num_rules * binomial(u, i) * c**i
+        )
+        counts = {seen: n // ((u - i) * c) for seen, n in below.items()}
+    return deception
+
+
 def deception_probability(code: SplittingACode, i: int) -> Fraction:
     """Exact optimal success probability for spoofing of order i.
 
     Enumerates every transcript the opponent can observe (rule, i
     observed sources, message choice per source), then lets the
     opponent pick, per transcript, the unobserved message with the
-    highest probability of being accepted as a *new* source.
+    highest probability of being accepted as a *new* source.  For a
+    uniform code this reads coverage counts instead (see the module
+    docstring).
     """
     if not 0 <= i <= code.u:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.u}")
-    return _deception(code, _masses(code), i)
+    if not _is_uniform(code):
+        return _deception(code, _masses(code), i)
+    return _coverage_deception(code, i, i, verify._coverage(code.rules, i + 1))[i]
 
 
 def deception_bound(code: SplittingACode, i: int) -> Fraction:
@@ -219,15 +308,36 @@ def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
     """Deception probabilities, floors, security level, rule-count
     optimality (at strength i_max + 1) and secrecy in one report.
 
-    Every order is computed once, and all of them and the posteriors
-    come from one integer scaling of the code's distributions.
+    Every order is computed once.  A uniform code counts its covered
+    (i_max+1)-subsets once and reads every value off that count and
+    n(s, m); any other code takes all orders and the posteriors from one
+    integer scaling of its distributions.
     """
     if i_max is None:
         i_max = code.u - 1
     if not 0 <= i_max <= code.u:
         raise ValueError(f"i_max={i_max} out of range 0..{code.u}")
-    masses = _masses(code)
-    deception = {i: _deception(code, masses, i) for i in range(i_max + 1)}
+    return _analyze(code, i_max)
+
+
+def _analyze(code: SplittingACode, i_max: int, counts=None) -> SecurityReport:
+    """:func:`analyze` for an i_max in range; ``counts`` is the rules'
+    ``verify._coverage`` at t = i_max + 1 when the caller has it."""
+    if _is_uniform(code):
+        joint, marginals, den = _cell_counts(code)
+        found = {0: Fraction(max(marginals), code.num_rules)}
+        top = min(i_max, code.u - 1)
+        if top:
+            if counts is None:
+                counts = verify._coverage(code.rules, top + 1)
+            found.update(_coverage_deception(code, top, 1, counts))
+        # Order u leaves no source to spoof.
+        deception = {i: found.get(i, Fraction(0)) for i in range(i_max + 1)}
+        posteriors = _posteriors(code, joint, marginals, den)
+    else:
+        masses = _masses(code)
+        deception = {i: _deception(code, masses, i) for i in range(i_max + 1)}
+        posteriors = _posteriors(code, *_joint_masses(code, masses))
     bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
     misses = (i for i in range(i_max + 1) if deception[i] != bounds[i])
     level = next(misses, i_max + 1) - 1
@@ -239,5 +349,5 @@ def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
         bounds=bounds,
         level=level,
         optimal=optimal,
-        posteriors=_posteriors(code, masses),
+        posteriors=posteriors,
     )

@@ -60,16 +60,22 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     defects, c, u = construct._shape_defects(design.blocks, design.v)
     if defects:
         return VerificationResult(ok=False, params=None, defects=tuple(defects))
-    return _verify_shaped(design, t, c, u)
-
-
-def _verify_shaped(design: SplittingDesign, t: int, c: int, u: int) -> VerificationResult:
-    """:func:`verify_design` for blocks already known to be free of
-    structural defects, each of u parts of c points."""
     if t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
+    return _verify_shaped(design, t, c, u, _coverage(design.blocks, t))
 
-    counts = Counter(chain.from_iterable(covered_subsets(b, t) for b in design.blocks))
+
+def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
+    """How many blocks cover each covered t-subset."""
+    return Counter(chain.from_iterable(covered_subsets(b, t) for b in blocks))
+
+
+def _verify_shaped(
+    design: SplittingDesign, t: int, c: int, u: int, counts: Counter[tuple[int, ...]]
+) -> VerificationResult:
+    """:func:`verify_design` for blocks already known to be free of
+    structural defects, each of u >= t parts of c points, given their
+    :func:`_coverage` at t."""
     first = tuple(range(1, t + 1))
     reference = counts[first]
     if len(counts) == binomial(design.v, t) and len(set(counts.values())) == 1:

@@ -49,6 +49,15 @@ class TestRuleDefects:
         rules = (((1, 2), (3, 5)), ((1, 2), (3, 12)))
         assert rule_defects(rules, 9, 3) == ["rule 2 uses message 12 outside 1..9"]
 
+    def test_declared_cell_count_holds_every_rule(self):
+        # rules that disagree are each held to the declared u, the first too
+        rules = (((1,), (2,), (3,)), ((1,), (2,)), ((3,), (4,)))
+        assert rule_defects(rules, 9, 2) == ["rule 1 has 3 cells, expected 2"]
+        assert rule_defects(rules, 9) == [
+            "rule 2 has 2 cells, expected 3",
+            "rule 3 has 2 cells, expected 3",
+        ]
+
 
 class TestSplittingACode:
     def test_defaults_are_uniform(self, table1_code):

@@ -279,6 +279,15 @@ class TestAnalyzeCommand:
         assert "structure: FAIL (rule 1 repeats message 2)" in out
         assert out.endswith("FAIL\n")
 
+    def test_odd_first_rule_blamed(self, tmp_path, capsys):
+        # the code declares u=2, so rule 1 is the odd one, not rules 2 and 3
+        target = tmp_path / "odd.json"
+        target.write_text(
+            '{"u": 2, "v": 9, "rules": [[[1],[2],[3]], [[1],[2]], [[3],[4]]]}'
+        )
+        rc, out, _ = run_cli(["analyze", str(target)], capsys)
+        assert (rc, out) == (1, "structure: FAIL (rule 1 has 3 cells, expected 2)\nFAIL\n")
+
     def test_orders_zero_wants_tighter_structure(
         self, table1_code_file, capsys
     ):
@@ -417,8 +426,7 @@ class TestOverlongIntegers:
         target.write_text(text % ("0" * 5000))
         rc, out, err = run_cli([command, str(target)], capsys)
         assert (rc, out) == (2, "")
-        assert err.startswith(f"error: {target}: invalid JSON: ")
-        assert err.count("\n") == 1 and "digits" in err
+        assert err == f"error: {target}: an integer literal has more than 4,300 digits\n"
 
 
 class TestShapeCheckedOnce:
@@ -452,6 +460,32 @@ class TestShapeCheckedOnce:
 
         monkeypatch.setattr(splitauth.verify, "_verify_shaped", counting)
         return sizes
+
+    @pytest.fixture()
+    def covered(self, monkeypatch):
+        import splitauth.verify
+
+        calls = []
+        coverage = splitauth.verify._coverage
+
+        def counting(blocks, t):
+            calls.append((len(blocks), t))
+            return coverage(blocks, t)
+
+        monkeypatch.setattr(splitauth.verify, "_coverage", counting)
+        return calls
+
+    @pytest.mark.parametrize("orders", [0, 1])
+    def test_analyze_counts_coverage_once(self, orders, table2_files, covered, capsys):
+        # the design verdict and every deception order share one count
+        rc, _, _ = run_cli(["analyze", str(table2_files[2]), "--orders", str(orders)], capsys)
+        assert rc == (0 if orders == 1 else 1)
+        assert covered == [(34, orders + 1)]
+
+    def test_demo_counts_coverage_once(self, covered, capsys):
+        rc, _, _ = run_cli(["demo", "table1"], capsys)
+        assert rc == 0
+        assert covered == [(9, 2)]
 
     @pytest.mark.parametrize("command", ["to-code", "analyze"])
     def test_once(self, command, table2_files, checked, counted, capsys):

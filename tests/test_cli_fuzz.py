@@ -144,6 +144,10 @@ def _code(u: int, **fields) -> str:
 @example(text='{"u": 1' + "0" * 5000 + ', "v": 9, "rules": []}')
 @example(text='{"v": 1' + "0" * 5000 + ', "u": 2, "c": 1, "base_blocks": []}')
 @example(text=_code(12))
+@example(text=_code(1))  # u=1: --orders 0 is the only order in range
+@example(  # a uniform code, c=2, whose --orders 2 is u
+    text=json.dumps({"u": 2, "v": 5, "rules": [[[1, 2], [3, 4]], [[5, 1], [2, 3]]]})
+)
 @settings(max_examples=150, deadline=None)
 def test_exit_contract(text):
     for argv in COMMANDS:

@@ -8,11 +8,13 @@ blocks in the same order.
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import splitauth.security
 from splitauth import (
     BaseBlockFamily,
     CongruenceCase,
@@ -75,6 +77,36 @@ def small_codes(draw) -> SplittingACode:
     )
 
 
+@st.composite
+def uniform_codes(draw) -> SplittingACode:
+    """Codes with uniform key, source and split distributions, which take
+    the coverage-count path: random rules, so mostly not designs, and
+    with spare messages often never sent.  Distributions are left to
+    their defaults or spelled out, one object per entry."""
+    u = draw(st.sampled_from((1, 2, 3, 4)))
+    c = draw(st.sampled_from((1, 2)))
+    v = draw(st.integers(c * u, c * u + 4))
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        points = draw(st.permutations(range(1, v + 1)))[: c * u]
+        rules.append(tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u)))
+    spelled = st.booleans()
+    b = len(rules)
+    return SplittingACode(
+        u=u,
+        v=v,
+        rules=tuple(rules),
+        key_dist=tuple(Fraction(1, b) for _ in rules) if draw(spelled) else (),
+        source_dist=tuple(Fraction(1, u) for _ in range(u)) if draw(spelled) else (),
+        split_dist=tuple(
+            tuple(tuple(Fraction(1, c) for _ in range(c)) for _ in range(u))
+            for _ in rules
+        )
+        if draw(spelled)
+        else None,
+    )
+
+
 class TestSecurityAgainstReference:
     @given(code=small_codes())
     @settings(max_examples=150, deadline=None)
@@ -109,6 +141,39 @@ class TestSecurityAgainstReference:
     @settings(max_examples=100, deadline=None)
     def test_posteriors(self, code):
         assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+
+    @given(code=uniform_codes())
+    @settings(max_examples=150, deadline=None)
+    def test_uniform_codes(self, code):
+        # they never reach the integer engine's scaling
+        with mock.patch.object(splitauth.security, "_masses", side_effect=AssertionError):
+            for i in range(code.u + 1):
+                assert outcome(analyze, code, i) == outcome(reference.analyze, code, i)
+                assert deception_probability(code, i) == reference.deception_probability(
+                    code, i
+                )
+            assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+
+    def test_one_weight_off_uniform_takes_the_engine(self, monkeypatch):
+        calls = []
+        masses = splitauth.security._masses
+
+        def engine(code):
+            calls.append(code)
+            return masses(code)
+
+        monkeypatch.setattr(splitauth.security, "_masses", engine)
+        rules = develop_cyclic(family_u2(2, 1)).blocks
+        split = [((Fraction(1, 2),) * 2,) * 2] * len(rules)
+        split[4] = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2),) * 2)
+        code = SplittingACode(u=2, v=9, rules=rules, split_dist=tuple(split))
+        for i in range(code.u + 1):
+            assert analyze(code, i) == reference.analyze(code, i)
+            assert deception_probability(code, i) == reference.deception_probability(
+                code, i
+            )
+        assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+        assert len(calls) == 2 * (code.u + 1) + 1
 
     def test_reference_shapes(self):
         for c, n in ((2, 1), (2, 2), (1, 3), (3, 1)):
