@@ -68,11 +68,16 @@ def common_denominator(weights) -> tuple[tuple[int, ...], int]:
 def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:
     if len(dist) != n:
         raise ValueError(f"{name} has {len(dist)} entries, expected {n}")
-    if any(p < 0 for p in dist):
+    # One value n times (the uniform default and parsed uniform dists
+    # repeat one object, which tuple equality tests by identity first)
+    # is checked once, weighted by n; any other dist entry by entry.
+    values, times = (dist[:1], n) if dist == dist[:1] * n else (dist, 1)
+    if any(p < 0 for p in values):
         raise ValueError(f"{name} has a negative entry")
-    numerators, den = common_denominator(dist)
-    if sum(numerators) != den:
-        raise ValueError(f"{name} sums to {Fraction(sum(numerators), den)}, expected 1")
+    numerators, den = common_denominator(values)
+    total = sum(numerators) * times
+    if total != den:
+        raise ValueError(f"{name} sums to {Fraction(total, den)}, expected 1")
 
 
 @frozen

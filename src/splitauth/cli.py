@@ -57,7 +57,9 @@ def _read_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # The decoder raises RecursionError on arrays or objects nested past
+    # the interpreter's recursion limit.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:  # int() refuses literals past its digit limit
         raise _InputError(

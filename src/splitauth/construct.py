@@ -10,6 +10,7 @@ order of points inside a part).
 from __future__ import annotations
 
 import enum
+from itertools import chain, islice
 
 from ._record import frozen
 
@@ -131,18 +132,23 @@ def translate_block(block: Block, j: int, v: int) -> Block:
 
 
 def orbit_of(block: Block, v: int) -> tuple[Block, ...]:
-    """All distinct translates of a block, in translation order j = 0, 1, ...
+    """All distinct translates of a block of points in 1..v, in
+    translation order j = 0, 1, ...
 
     Two translates are equal when they have the same parts as an
     unordered set of point sets.  The shifts that fix the block form a
     subgroup of Z_v, so the orbit length is the least divisor j of v
     whose translate equals the block, and translates 0..j-1 are the
-    distinct ones; the orbit is full when its length is v.
+    distinct ones; the orbit is full when its length is v.  Point x runs
+    through x, x+1, ..., v, 1, ..., x-1 as j grows, so the translates are
+    these point ranges zipped into parts and the parts into blocks, the
+    same tuples :func:`translate_block` gives.
     """
     key = _block_key(block)
     periods = (j for j in range(1, v + 1) if v % j == 0)
     length = next(j for j in periods if _block_key(translate_block(block, j, v)) == key)
-    return tuple(translate_block(block, j, v) for j in range(length))
+    parts = (zip(*(chain(range(x, v + 1), range(1, x)) for x in part)) for part in block)
+    return tuple(islice(zip(*parts), length))
 
 
 def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:

@@ -11,7 +11,8 @@ distinct; two points inside the same part are not covered by it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, filterfalse, product, repeat
+from operator import gt, itemgetter, lt, ne
 
 from . import construct
 from ._record import frozen
@@ -66,8 +67,32 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
 
 
 def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
-    """How many blocks cover each covered t-subset."""
-    return Counter(chain.from_iterable(covered_subsets(b, t) for b in blocks))
+    """How many blocks cover each covered t-subset, keyed by the sorted
+    tuples :func:`covered_subsets` gives.
+
+    Counts a point column at a time: column (s, k) holds point k of part
+    s of every block, and each choice of t columns from distinct parts
+    gives every block one covered subset.  The blocks must be free of
+    shape defects (each u parts of c points, as
+    ``construct._shape_defects`` checks): ``zip`` cuts ragged columns
+    short without a word.
+    """
+    counts: Counter[tuple[int, ...]] = Counter()
+    if not blocks:
+        return counts
+    columns = [
+        [tuple(map(itemgetter(k), part)) for k in range(len(part[0]))]
+        for part in (tuple(map(itemgetter(s), blocks)) for s in range(len(blocks[0])))
+    ]
+    for parts in combinations(columns, t):
+        for cols in product(*parts):
+            if t == 2:
+                a, b = cols
+                counts.update(compress(zip(a, b), map(lt, a, b)))
+                counts.update(compress(zip(b, a), map(gt, a, b)))
+            else:
+                counts.update(map(tuple, map(sorted, zip(*cols))))
+    return counts
 
 
 def _verify_shaped(
@@ -82,16 +107,13 @@ def _verify_shaped(
         params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
         return VerificationResult(ok=True, params=params)
     # The lexicographically first subset not covered ``reference`` times:
-    # the first covered one if reference is 0, else the first place where
-    # the sorted covered subsets skip a subset or carry another count.
-    subset = min(counts)
+    # the first covered one if reference is 0, else the first of the
+    # covered subsets with another count and the first uncovered subset.
     if reference:
-        every = combinations(range(1, design.v + 1), t)
-        for covered, subset in zip(sorted(counts), every):
-            if covered != subset or counts[subset] != reference:
-                break
-        else:  # zip ends at the last covered subset, before taking from ``every``
-            subset = next(every)
+        wrong = compress(counts, map(ne, counts.values(), repeat(reference)))
+        subset = min(chain(wrong, _first_gap(counts, design.v, t)))
+    else:
+        subset = min(counts)
     n = counts[subset]
     return VerificationResult(
         ok=False,
@@ -102,6 +124,23 @@ def _verify_shaped(
         ),
         witness=(subset, n, reference),
     )
+
+
+def _first_gap(counts, v: int, t: int) -> list[tuple[int, ...]]:
+    """The lexicographically first t-subset of 1..v missing from
+    ``counts``, in a list that is empty when none is.
+
+    The covered subsets of each least point x are counted against the
+    C(v-x, t-1) t-subsets that start at x; only the first x that falls
+    short is walked in order.  Every x before it is fully covered, so
+    the cost is bounded by the covered subsets, not by C(v, t).
+    """
+    starts = Counter(map(itemgetter(0), counts))
+    for x in range(1, v - t + 2):
+        if starts[x] < binomial(v - x, t - 1):
+            subsets = map((x,).__add__, combinations(range(x + 1, v + 1), t - 1))
+            return [next(filterfalse(counts.__contains__, subsets))]
+    return []
 
 
 def downgrade_check(design: SplittingDesign, t: int) -> bool:

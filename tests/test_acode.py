@@ -84,6 +84,26 @@ class TestSplittingACode:
         with pytest.raises(ValueError, match="negative"):
             SplittingACode(u=2, v=9, rules=TABLE1_RULES, source_dist=dist)
 
+    @pytest.mark.parametrize(
+        "entry", [Fraction(1, 10), Fraction(1, 8), Fraction(2, 9), Fraction(-1, 9)]
+    )
+    def test_one_repeated_value_checked_like_written_out(self, entry):
+        # nine copies of one object are checked once; moving half of one
+        # entry to another keeps the sum and the signs and defeats that
+        repeated = (entry,) * 9
+        written = (entry / 2, entry * 3 / 2) + (entry,) * 7
+
+        def error(dist):
+            with pytest.raises(ValueError) as caught:
+                SplittingACode(u=2, v=9, rules=TABLE1_RULES, key_dist=dist)
+            return str(caught.value)
+
+        assert error(repeated) == error(written)
+        assert error(repeated) in (
+            f"key_dist sums to {entry * 9}, expected 1",
+            "key_dist has a negative entry",
+        )
+
     def test_structural_defect_rejected(self):
         with pytest.raises(ValueError, match="repeats message"):
             SplittingACode(u=2, v=9, rules=(((1, 2), (2, 5)),))

@@ -429,6 +429,20 @@ class TestOverlongIntegers:
         assert err == f"error: {target}: an integer literal has more than 4,300 digits\n"
 
 
+class TestDeepNesting:
+    """JSON nested past the decoder's recursion limit is malformed input,
+    not a crash."""
+
+    @pytest.mark.parametrize("command", ["develop", "verify", "analyze"])
+    def test_exit_two(self, command, tmp_path, capsys):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run_cli([command, str(target)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {target}: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
+
+
 class TestShapeCheckedOnce:
     """A command checks the structure of each rule set once, and counts
     its coverage once."""

@@ -7,6 +7,7 @@ blocks in the same order.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference
 import splitauth.security
+import splitauth.verify
 from splitauth import (
     BaseBlockFamily,
     CongruenceCase,
@@ -254,6 +256,35 @@ class TestVerifyAgainstReference:
         assert result.witness == ((1, 4), 0, 1)
 
 
+@st.composite
+def block_lists(draw) -> tuple[int, int, tuple]:
+    """(v, u, blocks): up to six random blocks of u parts of c points,
+    then up to three repeats of them; the list may be empty."""
+    u = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 3))
+    v = draw(st.integers(u * c, u * c + 3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 6))):
+        points = draw(st.permutations(range(1, v + 1)))[: u * c]
+        blocks.append(tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u)))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=3))
+    return v, u, tuple(blocks)
+
+
+class TestCoverageAgainstReference:
+    @given(drawn=block_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_every_strength(self, drawn):
+        v, u, blocks = drawn
+        design = SplittingDesign(v=v, blocks=blocks)
+        for t in range(1, u + 1):
+            covered = (s for block in blocks for s in reference.covered_subsets(block, t))
+            assert splitauth.verify._coverage(blocks, t) == Counter(covered)
+            if blocks:
+                assert verify_design(design, t) == reference.verify_design(design, t)
+
+
 def reference_develop(family: BaseBlockFamily) -> SplittingDesign:
     orbits = [reference.orbit_of(base, family.v) for base in family.base_blocks]
     return SplittingDesign(
@@ -261,6 +292,39 @@ def reference_develop(family: BaseBlockFamily) -> SplittingDesign:
         blocks=tuple(b for blocks in orbits for b in blocks),
         orbit_lengths=tuple(len(blocks) for blocks in orbits),
     )
+
+
+@st.composite
+def families(draw) -> tuple[BaseBlockFamily, int, list[bool]]:
+    """(family, p, short): one to three base blocks of one shape over
+    Z_v, v = p*q, where block k is fixed by the shift by p (so its orbit
+    length divides p) when short[k], and random otherwise (so its orbit
+    is mostly full)."""
+    p, q = draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    v = p * q
+    c = draw(st.integers(1, p))
+    r = draw(st.integers(1, p // c))  # parts whose translates by p fill a block
+    u = q * r
+
+    def fixed_by_p():
+        # r*c points of distinct residues mod p, so no two translates meet
+        residues = draw(st.permutations(range(p)))[: r * c]
+        lifts = draw(st.lists(st.integers(0, q - 1), min_size=r * c, max_size=r * c))
+        points = [x + p * k + 1 for x, k in zip(residues, lifts)]
+        parts = [
+            tuple((x - 1 + j * p) % v + 1 for x in points[i * c : (i + 1) * c])
+            for j in range(q)
+            for i in range(r)
+        ]
+        return tuple(draw(st.permutations(parts)))
+
+    def scattered():
+        points = draw(st.permutations(range(1, v + 1)))[: u * c]
+        return tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u))
+
+    short = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    blocks = tuple(fixed_by_p() if s else scattered() for s in short)
+    return BaseBlockFamily(v=v, u=u, c=c, base_blocks=blocks), p, short
 
 
 class TestOrbitsAgainstReference:
@@ -278,6 +342,16 @@ class TestOrbitsAgainstReference:
         for c, n in ((1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)):
             family = family_u2(c, n)
             assert develop_cyclic(family) == reference_develop(family)
+
+    @given(drawn=families())
+    @settings(max_examples=100, deadline=None)
+    def test_random_families(self, drawn):
+        family, p, short = drawn
+        design, expected = develop_cyclic(family), reference_develop(family)
+        assert design == expected
+        assert design.orbit_lengths == expected.orbit_lengths
+        for length, fixed in zip(design.orbit_lengths, short):
+            assert p % length == 0 if fixed else family.v % length == 0
 
     @given(
         v=st.integers(2, 16),
