@@ -14,19 +14,23 @@ covers.  So orders 1..i_max come from one count of the covered
 t-subsets at t = i_max + 1 (b·C(u,t)·c^t for b rules), each lower order
 from the one above it, and order 0 and the posteriors from n(s, m), the
 number of rules with message m in cell s (a b·u·c scan).  Any other
-code is enumerated exhaustively over rules, sources and message
-choices, b·C(u,i)·c^i per order i, with the distributions scaled once
-to integers over the least common multiples of their denominators, so
-masses add up as ints and each reported probability is one
-``Fraction``.
+code is scaled once to integers over the least common multiples of the
+denominators of its distributions and laid out in point columns: per
+source and rank, the r-th smallest message of each rule's cell and the
+mass p(s)·p(m | e, s) of sending it.  Order i then walks the C(u,i)
+observed source subsets and the c^i choices of a rank in each observed
+cell, one column over the b rules per choice, and each of these
+transcripts adds its mass to the gains of the (u-i)·c messages in its
+unseen cells: b·C(u,i)·c^i·(u-i)·c gain updates.  Masses add up as ints
+and each reported probability is one ``Fraction``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, repeat
+from operator import itemgetter, mul
 
 from . import verify
 from ._record import frozen
@@ -76,47 +80,57 @@ class SecurityReport:
 
 
 @frozen
-class _Masses:
-    """The code's distributions as integers over common denominators:
+class _Columns:
+    """The code's distributions as integers over common denominators, by
+    point columns over all rules: ``messages[s][r][e]`` is the r-th
+    smallest message of cell (e+1, s+1) and ``weights[s][r][e]`` the
+    mass p(s+1)·p(that message | e+1, s+1) times source_den·split_den;
     ``key[e]`` and ``source[s]`` are the probabilities of rule e+1 and
-    source s+1, and ``split[e][s]`` pairs each message of cell (e+1, s+1)
-    with its sending probability, each times its ``*_den``."""
+    source s+1 times ``key_den`` and ``source_den``."""
 
     key: tuple[int, ...]
     key_den: int
     source: tuple[int, ...]
     source_den: int
-    split: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    messages: tuple[tuple[tuple[int, ...], ...], ...]
+    weights: tuple[tuple[tuple[int, ...], ...], ...]
     split_den: int
 
 
-def _masses(code: SplittingACode) -> _Masses:
+def _columns(code: SplittingACode) -> _Columns:
     key, key_den = common_denominator(code.key_dist)
     source, source_den = common_denominator(code.source_dist)
+    u, c = code.u, code.c
+    messages = tuple(
+        tuple(zip(*map(sorted, map(itemgetter(s), code.rules)))) for s in range(u)
+    )
     if code.split_dist is None:
-        weights, split_den = repeat(1), code.c
+        flat, split_den = (1,) * (code.num_rules * u * c), c
     else:
         flat, split_den = common_denominator(
-            w for per_source in code.split_dist for ws in per_source for w in ws
+            chain.from_iterable(chain.from_iterable(code.split_dist))
         )
-        weights = iter(flat)
-    # split_dist lists each cell's weights in ascending message order;
-    # zip stops at the end of the cell without taking from ``weights``.
-    split = tuple(
-        tuple(tuple(zip(sorted(cell), weights)) for cell in rule)
-        for rule in code.rules
+    # split_dist lists each cell's weights in ascending message order,
+    # so weight r of source s sits at s·c + r among a rule's u·c.
+    weights = tuple(
+        tuple(
+            tuple(map(mul, flat[s * c + r :: u * c], repeat(w_s))) for r in range(c)
+        )
+        for s, w_s in enumerate(source)
     )
-    return _Masses(key, key_den, source, source_den, split, split_den)
+    return _Columns(key, key_den, source, source_den, messages, weights, split_den)
 
 
 def _is_uniform(code: SplittingACode) -> bool:
     """Whether the key, source and split distributions are all uniform.
-    ``count`` tests identity before equality, and the default and the
-    parsed distributions repeat one object, so this is a cheap scan."""
-    dists = [code.key_dist, code.source_dist]
-    if code.split_dist is not None:
-        dists.extend(chain.from_iterable(code.split_dist))
-    return all(d.count(d[0]) == len(d) for d in dists)
+    Tuple equality tests identity first, and the default and the parsed
+    distributions repeat one object, so this is a cheap scan; the key
+    and source distributions go first, and the split ones are read only
+    when those pass."""
+    dists = chain(
+        (code.key_dist, code.source_dist), chain.from_iterable(code.split_dist or ())
+    )
+    return all(d == d[:1] * len(d) for d in dists)
 
 
 # Masses p(s, m) and p(m) as integers over the denominator that comes last.
@@ -136,21 +150,21 @@ def _cell_counts(code: SplittingACode) -> _Joint:
     return joint, marginals, code.num_rules * code.u * code.c
 
 
-def _joint_masses(code: SplittingACode, masses: _Masses) -> _Joint:
-    """The masses p(s, m) and p(m) from the scaled distributions."""
-    joint: dict[tuple[int, int], int] = defaultdict(int)
+def _joint_masses(code: SplittingACode, cols: _Columns) -> _Joint:
+    """The masses p(s, m) and p(m) from the scaled columns: per source,
+    Σ_e key(e)·weight(e, s, m) collected by message."""
+    joint = {}
     marginals = [0] * (code.v + 1)
-    for k_e, cells in zip(masses.key, masses.split):
-        if not k_e:
-            continue
-        for s, (w_s, cell) in enumerate(zip(masses.source, cells), start=1):
-            if not w_s:
-                continue
-            for m, w in cell:
-                mass = k_e * w_s * w
-                joint[s, m] += mass
-                marginals[m] += mass
-    return joint, marginals, masses.key_den * masses.source_den * masses.split_den
+    for s, (columns, weights) in enumerate(zip(cols.messages, cols.weights), 1):
+        per = [0] * (code.v + 1)
+        for ms, ws in zip(columns, weights):
+            for m, w in zip(ms, map(mul, cols.key, ws)):
+                per[m] += w
+        for m, n in enumerate(per):
+            if n:
+                joint[s, m] = n
+                marginals[m] += n
+    return joint, marginals, cols.key_den * cols.source_den * cols.split_den
 
 
 def _posteriors(
@@ -189,44 +203,67 @@ def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
     """
     if _is_uniform(code):
         return _posteriors(code, *_cell_counts(code))
-    return _posteriors(code, *_joint_masses(code, _masses(code)))
+    return _posteriors(code, *_joint_masses(code, _columns(code)))
 
 
-def _deception(code: SplittingACode, masses: _Masses, i: int) -> Fraction:
+def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     """Spoofing of order i; see :func:`deception_probability`.
 
     An i-subset of sources is observed with probability proportional to
-    the product of its source probabilities, so transcript masses are
-    integers over key_den * (sum of subset weights) * split_den^i.
+    the product of its source weights, so transcript masses are integers
+    over key_den·e_i·split_den^i, where e_i, the sum of those products
+    over all i-subsets, follows from e_j += e_(j-1)·w over the weights w.
+
+    The sources are walked in order, each observed or left unseen.  An
+    observed source multiplies each transcript's mass column by the
+    weight column of each rank of its cell, once per prefix of the walk,
+    and appends that rank's message column.  Once i sources are
+    observed, the unseen cells' messages form one target row per rule,
+    and each transcript adds its mass to the gains of its (u-i)·c
+    targets: b·C(u,i)·c^i·(u-i)·c gain updates in all.  ``success`` holds
+    one gain dict per distinct observed set, keyed by its sorted
+    messages; that, not the columns, is what grows with i.
     """
-    subsets = [
-        (sources, math.prod(masses.source[s - 1] for s in sources))
-        for sources in combinations(range(1, code.u + 1), i)
-    ]
-    total = sum(w for _, w in subsets)
-    if total == 0:
+    u = code.u
+    sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
+    for w in cols.source:
+        for j in range(i, 0, -1):
+            sums[j] += sums[j - 1] * w
+    if sums[i] == 0:
         raise ValueError(f"no {i}-subset of sources has positive probability")
-    success = defaultdict(lambda: defaultdict(int))  # observed set -> message -> gain
-    for k_e, cells in zip(masses.key, masses.split):
-        if not k_e:
+    if i == u:
+        return Fraction(0)  # no unseen cell is left to spoof
+    success = defaultdict(dict)  # sorted observed messages -> message -> gain
+    # (next source, sources left to observe, (observed message columns,
+    # mass column) per choice of ranks, unseen message columns)
+    stack = [(0, i, [((), cols.key)], ())]
+    while stack:
+        s, left, chosen, unseen = stack.pop()
+        if left:
+            if left < u - s:
+                stack.append((s + 1, left, chosen, unseen + cols.messages[s]))
+            if cols.source[s]:
+                extended = [
+                    (picked + (column,), list(map(mul, masses, weights)))
+                    for picked, masses in chosen
+                    for column, weights in zip(cols.messages[s], cols.weights[s])
+                ]
+                stack.append((s + 1, left - 1, extended, unseen))
             continue
-        for sources, w_sub in subsets:
-            unseen = (cell for s, cell in enumerate(cells, start=1) if s not in sources)
-            targets = [m for cell in unseen for m, _ in cell]
-            if not w_sub or not targets:
-                continue
-            for picks in product(*(cells[s - 1] for s in sources)):
-                mass = k_e * w_sub
-                for _, w in picks:
-                    mass *= w
-                if not mass:
-                    continue
-                gains = success[frozenset(m for m, _ in picks)]
-                for m2 in targets:
-                    gains[m2] += mass
+        rows = list(zip(*unseen, *chain.from_iterable(cols.messages[s:])))
+        for picked, masses in chosen:
+            if i > 1:
+                observed = map(tuple, map(sorted, zip(*picked)))
+            else:  # one message is its own key, and zip() of no column is empty
+                observed = picked[0] if i else repeat(())
+            for seen, mass, row in zip(observed, masses, rows):
+                if mass:
+                    gains = success[seen]
+                    for m in row:
+                        gains[m] = gains.get(m, 0) + mass
     return Fraction(
         sum(max(gains.values()) for gains in success.values()),
-        masses.key_den * total * masses.split_den**i,
+        cols.key_den * sums[i] * cols.split_den**i,
     )
 
 
@@ -277,7 +314,7 @@ def deception_probability(code: SplittingACode, i: int) -> Fraction:
     if not 0 <= i <= code.u:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.u}")
     if not _is_uniform(code):
-        return _deception(code, _masses(code), i)
+        return _deception(code, _columns(code), i)
     return _coverage_deception(code, i, i, verify._coverage(code.rules, i + 1))[i]
 
 
@@ -335,9 +372,9 @@ def _analyze(code: SplittingACode, i_max: int, counts=None) -> SecurityReport:
         deception = {i: found.get(i, Fraction(0)) for i in range(i_max + 1)}
         posteriors = _posteriors(code, joint, marginals, den)
     else:
-        masses = _masses(code)
-        deception = {i: _deception(code, masses, i) for i in range(i_max + 1)}
-        posteriors = _posteriors(code, *_joint_masses(code, masses))
+        cols = _columns(code)
+        deception = {i: _deception(code, cols, i) for i in range(i_max + 1)}
+        posteriors = _posteriors(code, *_joint_masses(code, cols))
     bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
     misses = (i for i in range(i_max + 1) if deception[i] != bounds[i])
     level = next(misses, i_max + 1) - 1

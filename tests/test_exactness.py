@@ -59,8 +59,10 @@ def _weights_or_uniform(n: int):
 
 @st.composite
 def small_codes(draw) -> SplittingACode:
-    u = draw(st.sampled_from((2, 3)))
-    c = draw(st.sampled_from((1, 2)))
+    """Random rules with random or uniform distributions; at u = 4 and
+    c = 3 an order has up to 27 rank choices and three unseen sources."""
+    u = draw(st.sampled_from((2, 3, 4)))
+    c = draw(st.sampled_from((1, 2, 3)))
     v = draw(st.integers(c * u, c * u + 4))
     rules = []
     for _ in range(draw(st.integers(1, 6))):
@@ -147,8 +149,10 @@ class TestSecurityAgainstReference:
     @given(code=uniform_codes())
     @settings(max_examples=150, deadline=None)
     def test_uniform_codes(self, code):
-        # they never reach the integer engine's scaling
-        with mock.patch.object(splitauth.security, "_masses", side_effect=AssertionError):
+        # they never reach the weighted engine's column scaling
+        with mock.patch.object(
+            splitauth.security, "_columns", side_effect=AssertionError
+        ):
             for i in range(code.u + 1):
                 assert outcome(analyze, code, i) == outcome(reference.analyze, code, i)
                 assert deception_probability(code, i) == reference.deception_probability(
@@ -158,13 +162,13 @@ class TestSecurityAgainstReference:
 
     def test_one_weight_off_uniform_takes_the_engine(self, monkeypatch):
         calls = []
-        masses = splitauth.security._masses
+        columns = splitauth.security._columns
 
         def engine(code):
             calls.append(code)
-            return masses(code)
+            return columns(code)
 
-        monkeypatch.setattr(splitauth.security, "_masses", engine)
+        monkeypatch.setattr(splitauth.security, "_columns", engine)
         rules = develop_cyclic(family_u2(2, 1)).blocks
         split = [((Fraction(1, 2),) * 2,) * 2] * len(rules)
         split[4] = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2),) * 2)
@@ -176,6 +180,30 @@ class TestSecurityAgainstReference:
             )
         assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
         assert len(calls) == 2 * (code.u + 1) + 1
+
+    def test_weights_pair_with_ascending_messages(self):
+        # developed cells wrap around, e.g. (9, 1): weight 1/3 goes to
+        # message 1 and 2/3 to message 9, whatever order the rule stores
+        rules = develop_cyclic(family_u2(2, 1)).blocks
+        assert ((9, 1), (2, 4)) in rules
+        split = ((Fraction(1, 3), Fraction(2, 3)),) * 2
+        code = SplittingACode(u=2, v=9, rules=rules, split_dist=(split,) * len(rules))
+        for i in range(code.u + 1):
+            assert deception_probability(code, i) == reference.deception_probability(
+                code, i
+            )
+        assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+
+    def test_high_order_one_rule(self):
+        # C(12, 6) = 924 observed sets, each its own gain dict
+        u = 12
+        rule = tuple((m,) for m in range(1, u + 1))
+        source = (Fraction(2, u + 1),) + (Fraction(1, u + 1),) * (u - 1)
+        code = SplittingACode(u=u, v=u, rules=(rule,), source_dist=source)
+        assert deception_probability(code, 6) == reference.deception_probability(
+            code, 6
+        )
+        assert analyze(code, 6) == reference.analyze(code, 6)
 
     def test_reference_shapes(self):
         for c, n in ((2, 1), (2, 2), (1, 3), (3, 1)):
