@@ -59,10 +59,10 @@ def _uniform(n: int) -> tuple[Fraction, ...]:
 
 def common_denominator(weights) -> tuple[tuple[int, ...], int]:
     """Exact rationals as integer numerators over the least common
-    multiple of their denominators."""
-    weights = tuple(weights)
-    den = math.lcm(*{w.denominator for w in weights})
-    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+    multiple of their denominators (``Fraction`` or ``int`` weights)."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = math.lcm(*{d for _, d in ratios})
+    return tuple(n * (den // d) for n, d in ratios), den
 
 
 def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:

@@ -104,6 +104,10 @@ class SplittingDesign:
     nothing is trusted until :func:`splitauth.verify.verify_design`
     confirms it.  ``orbit_lengths`` lists the length of each orbit, in
     base-block order, when the design came from cyclic development.
+
+    The fields are treated as immutable, blocks and parts included:
+    ``verify_design`` keeps its result on the design, and
+    ``code_from_design`` builds rules from the blocks it checked.
     """
 
     v: int

@@ -55,15 +55,26 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     Checks structure, then counts how often each t-subset of 1..v is
     covered and requires one common value lambda >= 1.  The verified
     parameters (t, v, b, c, u, lambda) are returned on success.
+
+    The result is kept on the design per t, so asking the same design
+    again returns it without counting; an equal but distinct design is
+    counted afresh.  A t outside 1..u raises on every call.
     """
     if t < 1:
         raise ValueError(f"strength t={t} must be positive")
+    # The fields are immutable, so a result stays true of its design.
+    known = design.__dict__.setdefault("_verified", {})
+    if t in known:
+        return known[t]
     defects, c, u = construct._shape_defects(design.blocks, design.v)
     if defects:
-        return VerificationResult(ok=False, params=None, defects=tuple(defects))
-    if t > u:
+        result = VerificationResult(ok=False, params=None, defects=tuple(defects))
+    elif t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
-    return _verify_shaped(design, t, c, u, _coverage(design.blocks, t))
+    else:
+        result = _verify_shaped(design, t, c, u, _coverage(design.blocks, t))
+    known[t] = result
+    return result
 
 
 def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:

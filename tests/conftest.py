@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import splitauth.verify
 from splitauth import code_from_design, develop_cyclic, family_u2
 
 TABLE1_RULES = (
@@ -79,3 +80,17 @@ def table1_code(table1_design):
 @pytest.fixture(scope="session")
 def table2_code(table2_design):
     return code_from_design(table2_design)
+
+
+@pytest.fixture()
+def covered(monkeypatch):
+    """(block count, t) of every coverage count made while the test runs."""
+    calls = []
+    coverage = splitauth.verify._coverage
+
+    def counting(blocks, t):
+        calls.append((len(blocks), t))
+        return coverage(blocks, t)
+
+    monkeypatch.setattr(splitauth.verify, "_coverage", counting)
+    return calls

@@ -8,6 +8,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -331,3 +332,20 @@ class TestCrossChecks:
             }
             assert all(report.divisibility_ok.values())
             assert report.fisher_ok is True
+
+
+class TestBenchmarkSelftest:
+    """The benchmark's own expectations hold on this program."""
+
+    def test_selftest_passes(self):
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "bench/selftest.py"],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "selftest passed" in proc.stdout

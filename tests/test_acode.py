@@ -10,10 +10,13 @@ from splitauth import (
     SplittingDesign,
     code_from_design,
     decode,
+    develop_cyclic,
     encode,
+    family_u2,
     render_matrix,
     rule_defects,
     valid_messages,
+    verify_design,
 )
 from conftest import TABLE1_RULES
 from reference import split_weight
@@ -71,13 +74,10 @@ class TestSplittingACode:
         assert table2_code.c == 2
 
     def test_bad_distribution_sum_rejected(self):
-        with pytest.raises(ValueError, match="sums to"):
-            SplittingACode(
-                u=2,
-                v=9,
-                rules=TABLE1_RULES,
-                key_dist=tuple(Fraction(1, 10) for _ in range(9)),
-            )
+        # plain int weights are read like Fractions
+        for key_dist, total in [((Fraction(1, 10),) * 9, "9/10"), ((2,) + (0,) * 8, "2")]:
+            with pytest.raises(ValueError, match=f"^key_dist sums to {total}, expected 1$"):
+                SplittingACode(u=2, v=9, rules=TABLE1_RULES, key_dist=key_dist)
 
     def test_negative_weight_rejected(self):
         dist = (Fraction(-1, 2), Fraction(3, 2))
@@ -155,6 +155,12 @@ class TestCodeFromDesign:
         )
         with pytest.raises(ValueError, match="index 2"):
             code_from_design(doubled)
+
+    def test_verified_design_is_counted_once(self, covered):
+        design = develop_cyclic(family_u2(2, 1))
+        assert verify_design(design, 2).ok
+        assert code_from_design(design).rules == design.blocks
+        assert covered == [(9, 2)]
 
     def test_round_trip_preserves_blocks(self, table2_design, table2_code):
         assert SplittingDesign(v=17, blocks=table2_code.rules).blocks == (

@@ -475,20 +475,6 @@ class TestShapeCheckedOnce:
         monkeypatch.setattr(splitauth.verify, "_verify_shaped", counting)
         return sizes
 
-    @pytest.fixture()
-    def covered(self, monkeypatch):
-        import splitauth.verify
-
-        calls = []
-        coverage = splitauth.verify._coverage
-
-        def counting(blocks, t):
-            calls.append((len(blocks), t))
-            return coverage(blocks, t)
-
-        monkeypatch.setattr(splitauth.verify, "_coverage", counting)
-        return calls
-
     @pytest.mark.parametrize("orders", [0, 1])
     def test_analyze_counts_coverage_once(self, orders, table2_files, covered, capsys):
         # the design verdict and every deception order share one count

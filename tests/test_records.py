@@ -21,6 +21,7 @@ from splitauth import (
     SplittingACode,
     SplittingDesign,
     VerificationResult,
+    verify_design,
 )
 
 from conftest import TABLE1_RULES
@@ -35,21 +36,26 @@ TABLE = PosteriorTable({1: HALF, 2: HALF}, {1: Fraction(1, 9)}, {(1, 1): HALF}, 
 class Case:
     """One record class: its fields in order, values for all of them,
     how many are required, the values the defaults resolve to, and one
-    changed field for an unequal record."""
+    changed field for an unequal record.  A ``verified`` design has been
+    through ``verify_design`` at t=2 when built."""
 
-    def __init__(self, cls, fields, values, required, defaults, changed):
+    def __init__(self, cls, fields, values, required, defaults, changed, verified=False):
         self.cls, self.fields, self.values = cls, fields, values
         self.required, self.defaults, self.changed = required, defaults, changed
+        self.verified = verified
 
     def __repr__(self) -> str:
-        return self.cls.__name__
+        return ("verified " if self.verified else "") + self.cls.__name__
 
     @property
     def kwargs(self) -> dict:
         return dict(zip(self.fields, self.values))
 
     def build(self):
-        return self.cls(*self.values)
+        record = self.cls(*self.values)
+        if self.verified:
+            assert verify_design(record, 2).ok
+        return record
 
 
 CASES = [
@@ -131,6 +137,9 @@ HASHABLE = {
 }
 
 each_case = pytest.mark.parametrize("case", CASES, ids=repr)
+VERIFIED = copy.copy(next(case for case in CASES if case.cls is SplittingDesign))
+VERIFIED.verified = True
+with_verified = pytest.mark.parametrize("case", [*CASES, VERIFIED], ids=repr)
 
 
 @each_case
@@ -169,7 +178,7 @@ def test_unexpected_arguments_raise_type_error(case):
         case.cls(*case.values, **{case.fields[0]: case.values[0]})
 
 
-@each_case
+@with_verified
 def test_equality_hash_and_repr(case):
     record, same = case.build(), case.cls(**case.kwargs)
     changed = case.cls(**{**case.kwargs, **case.changed})
@@ -198,7 +207,7 @@ def test_fields_cannot_be_assigned_or_deleted(case):
     assert record == case.build()
 
 
-@each_case
+@with_verified
 def test_deepcopy_and_pickle_round_trip(case):
     record = case.build()
     copies = [copy.copy(record), copy.deepcopy(record)]
@@ -208,6 +217,10 @@ def test_deepcopy_and_pickle_round_trip(case):
         assert type(twin) is case.cls
         assert twin == record
         assert repr(twin) == repr(record)
+        if case.cls in HASHABLE:
+            assert hash(twin) == hash(record)
+        if case.verified:
+            assert verify_design(twin, 2) == verify_design(record, 2)
         with pytest.raises(AttributeError):
             setattr(twin, case.fields[0], None)
 

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import splitauth.construct
 from splitauth import (
     DesignParams,
     SplittingDesign,
     admissible,
     binomial,
     covered_subsets,
+    develop_cyclic,
     downgrade_check,
+    family_u2,
     lambda_level,
     verify_design,
 )
@@ -129,12 +132,16 @@ class TestVerifyDesign:
         assert result.witness is None
 
     def test_strength_above_parts_rejected(self, table1_design):
-        with pytest.raises(ValueError):
-            verify_design(table1_design, 3)
+        assert verify_design(table1_design, 2).ok
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_design(table1_design, 3)
 
     def test_nonpositive_strength_rejected(self, table1_design):
-        with pytest.raises(ValueError):
-            verify_design(table1_design, 0)
+        assert verify_design(table1_design, 2).ok
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_design(table1_design, 0)
 
     def test_empty_design_fails(self):
         result = verify_design(SplittingDesign(v=9, blocks=()), 2)
@@ -170,6 +177,38 @@ class TestVerifyDesign:
             for pair in combinations(range(1, 18), 2)
         )
         assert total == params.b * params.c**2 * binomial(params.u, 2)
+
+
+class TestVerifiedOnce:
+    """A design remembers its result per strength; nothing else does."""
+
+    def test_equal_design_counts_again(self, covered):
+        design = develop_cyclic(family_u2(2, 1))
+        first = verify_design(design, 2)
+        assert verify_design(design, 2) is first
+        assert verify_design(SplittingDesign(v=9, blocks=design.blocks), 2) == first
+        assert covered == [(9, 2), (9, 2)]
+
+    def test_downgrade_counts_only_lower_strengths(self, covered):
+        design = develop_cyclic(family_u2(2, 1))
+        assert verify_design(design, 2).ok
+        assert downgrade_check(design, 2) is True
+        assert covered == [(9, 2), (9, 1)]
+
+    def test_shape_defects_returned_again(self, monkeypatch):
+        checked = []
+        check = splitauth.construct._shape_defects
+
+        def counting(blocks, *args):
+            checked.append(len(blocks))
+            return check(blocks, *args)
+
+        monkeypatch.setattr(splitauth.construct, "_shape_defects", counting)
+        design = SplittingDesign(v=9, blocks=(((1, 2), (2, 5)),))
+        first = verify_design(design, 2)
+        assert first.defects == ("block 1 repeats point 2",)
+        assert verify_design(design, 2) == first
+        assert checked == [1]
 
 
 class TestDowngradeCheck:
