@@ -159,7 +159,7 @@ def _load_design(obj, where: str) -> SplittingDesign:
     ):
         raise _InputError(f"{where}: orbit_lengths must be a list of integers")
     try:
-        return SplittingDesign(v=v, blocks=blocks, t=t)
+        return SplittingDesign(v=v, blocks=blocks, t=t, orbit_lengths=tuple(raw))
     except ValueError as exc:
         raise _InputError(f"{where}: {exc}") from exc
 
@@ -276,15 +276,15 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     """Claim-by-claim report on orders 0..i_max, ending in PASS or FAIL,
     and the overall verdict.  The code's rules must already be free of
     structural defects."""
-    from .security import _analyze, rule_count_floor
+    from .security import analyze, rule_count_floor
     from .verify import _coverage, _verify_shaped
-    # One count of the covered (i_max+1)-subsets serves both the design
-    # verdict and, for a uniform code, every deception order.
+    # The rules' shape is checked already, so the design verdict needs
+    # only the count of the covered (i_max+1)-subsets.
     counts = _coverage(code.rules, i_max + 1)
     design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
     design_result = _verify_shaped(design, i_max + 1, code.c, code.u, counts)
     try:
-        report = _analyze(code, i_max, counts)
+        report = analyze(code, i_max)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     lines: list[str] = []

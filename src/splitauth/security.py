@@ -6,33 +6,25 @@ message, succeeding when the receiver accepts it as a source the
 opponent has not already used.  Order 0 is impersonation, order 1 is
 substitution.
 
-Two exact paths give the same ``Fraction``s.  When the key, source and
-split distributions are all uniform, every transcript has one mass and
-every value is a count of rules: an observed set O and a spoofed
-message x in a cell not yet seen are an (i+1)-subset that the rule
-covers.  So orders 1..i_max come from one count of the covered
-t-subsets at t = i_max + 1 (b·C(u,t)·c^t for b rules), each lower order
-from the one above it, and order 0 and the posteriors from n(s, m), the
-number of rules with message m in cell s (a b·u·c scan).  Any other
-code is scaled once to integers over the least common multiples of the
-denominators of its distributions and laid out in point columns: per
-source and rank, the r-th smallest message of each rule's cell and the
-mass p(s)·p(m | e, s) of sending it.  Order i then walks the C(u,i)
-observed source subsets and the c^i choices of a rank in each observed
-cell, one column over the b rules per choice, and each of these
-transcripts adds its mass to the gains of the (u-i)·c messages in its
-unseen cells: b·C(u,i)·c^i·(u-i)·c gain updates.  Masses add up as ints
-and each reported probability is one ``Fraction``.
+Every code, uniform or not, is scaled once to integers over the least
+common multiples of the denominators of its distributions and laid out
+in point columns: per source and rank, the r-th smallest message of
+each rule's cell and the mass p(s)·p(m | e, s) of sending it.  Order i
+then walks the C(u,i) observed source subsets and the c^i choices of a
+rank in each observed cell, one column over the b rules per choice, and
+each of these transcripts adds its mass to the gains of the (u-i)·c
+messages in its unseen cells: b·C(u,i)·c^i·(u-i)·c gain updates.  The
+posteriors come from the same columns, per source and message.  Masses
+add up as ints and each reported probability is one ``Fraction``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import itemgetter, mul
 
-from . import verify
 from ._record import frozen
 from .acode import SplittingACode, common_denominator
 from .params import binomial
@@ -121,38 +113,12 @@ def _columns(code: SplittingACode) -> _Columns:
     return _Columns(key, key_den, source, source_den, messages, weights, split_den)
 
 
-def _is_uniform(code: SplittingACode) -> bool:
-    """Whether the key, source and split distributions are all uniform.
-    Tuple equality tests identity first, and the default and the parsed
-    distributions repeat one object, so this is a cheap scan; the key
-    and source distributions go first, and the split ones are read only
-    when those pass."""
-    dists = chain(
-        (code.key_dist, code.source_dist), chain.from_iterable(code.split_dist or ())
-    )
-    return all(d == d[:1] * len(d) for d in dists)
-
-
-# Masses p(s, m) and p(m) as integers over the denominator that comes last.
-_Joint = tuple[dict[tuple[int, int], int], list[int], int]
-
-
-def _cell_counts(code: SplittingACode) -> _Joint:
-    """The masses p(s, m) and p(m) of a uniform code as counts over
-    b·u·c: n(s, m), the number of rules with message m in cell s, and
-    Σ_s n(s, m), the number of rules that accept m (indexed by message)."""
-    joint = {}
-    marginals = [0] * (code.v + 1)
-    for s in range(code.u):
-        for m, n in Counter(chain.from_iterable(rule[s] for rule in code.rules)).items():
-            joint[s + 1, m] = n
-            marginals[m] += n
-    return joint, marginals, code.num_rules * code.u * code.c
-
-
-def _joint_masses(code: SplittingACode, cols: _Columns) -> _Joint:
-    """The masses p(s, m) and p(m) from the scaled columns: per source,
-    Σ_e key(e)·weight(e, s, m) collected by message."""
+def _joint_masses(
+    code: SplittingACode, cols: _Columns
+) -> tuple[dict[tuple[int, int], int], list[int], int]:
+    """The masses p(s, m) and p(m) as integers over the denominator that
+    comes last, from the scaled columns: per source, Σ_e key(e)·weight(e,
+    s, m) collected by message (p(m) indexed by message)."""
     joint = {}
     marginals = [0] * (code.v + 1)
     for s, (columns, weights) in enumerate(zip(cols.messages, cols.weights), 1):
@@ -201,8 +167,6 @@ def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
     the prior; unreachable messages are reported separately as the
     cause.
     """
-    if _is_uniform(code):
-        return _posteriors(code, *_cell_counts(code))
     return _posteriors(code, *_joint_masses(code, _columns(code)))
 
 
@@ -267,55 +231,18 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     )
 
 
-def _coverage_deception(
-    code: SplittingACode, top: int, lowest: int, counts
-) -> dict[int, Fraction]:
-    """P_d_i of a uniform code for top >= i >= lowest, from ``counts``:
-    each covered (top+1)-subset and the number of rules that cover it.
-    At top = u no subset is counted, so order u alone reads 0: nothing is
-    left to spoof.
-
-    Under a rule, an observed set O and a spoofed message x in an unseen
-    cell form an (i+1)-subset that the rule covers, so the gain of x on O
-    is cov_{i+1}(O ∪ {x}) transcripts of one mass, and the opponent's
-    best is the largest count over the (i+1)-subsets holding O.  A rule
-    covering an i-subset S leaves (u-i)·c messages in its unseen cells,
-    so the counts of order i-1 follow: Σ_x cov_{i+1}(S ∪ {x}) =
-    (u-i)·c·cov_i(S).
-    """
-    u, c = code.u, code.c
-    deception = {}
-    for i in range(top, lowest - 1, -1):
-        best: dict[tuple[int, ...], int] = {}
-        below: Counter[tuple[int, ...]] = Counter()
-        for subset, n in counts.items():
-            for seen in combinations(subset, i):
-                if best.get(seen, 0) < n:
-                    best[seen] = n
-                if i > lowest:
-                    below[seen] += n
-        deception[i] = Fraction(
-            sum(best.values()), code.num_rules * binomial(u, i) * c**i
-        )
-        counts = {seen: n // ((u - i) * c) for seen, n in below.items()}
-    return deception
-
-
 def deception_probability(code: SplittingACode, i: int) -> Fraction:
     """Exact optimal success probability for spoofing of order i.
 
     Enumerates every transcript the opponent can observe (rule, i
     observed sources, message choice per source), then lets the
     opponent pick, per transcript, the unobserved message with the
-    highest probability of being accepted as a *new* source.  For a
-    uniform code this reads coverage counts instead (see the module
-    docstring).
+    highest probability of being accepted as a *new* source; see the
+    module docstring for the cost.
     """
     if not 0 <= i <= code.u:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.u}")
-    if not _is_uniform(code):
-        return _deception(code, _columns(code), i)
-    return _coverage_deception(code, i, i, verify._coverage(code.rules, i + 1))[i]
+    return _deception(code, _columns(code), i)
 
 
 def deception_bound(code: SplittingACode, i: int) -> Fraction:
@@ -345,36 +272,16 @@ def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
     """Deception probabilities, floors, security level, rule-count
     optimality (at strength i_max + 1) and secrecy in one report.
 
-    Every order is computed once.  A uniform code counts its covered
-    (i_max+1)-subsets once and reads every value off that count and
-    n(s, m); any other code takes all orders and the posteriors from one
-    integer scaling of its distributions.
+    Every order is computed once, and all orders and the posteriors
+    come from one integer scaling of the code's distributions.
     """
     if i_max is None:
         i_max = code.u - 1
     if not 0 <= i_max <= code.u:
         raise ValueError(f"i_max={i_max} out of range 0..{code.u}")
-    return _analyze(code, i_max)
-
-
-def _analyze(code: SplittingACode, i_max: int, counts=None) -> SecurityReport:
-    """:func:`analyze` for an i_max in range; ``counts`` is the rules'
-    ``verify._coverage`` at t = i_max + 1 when the caller has it."""
-    if _is_uniform(code):
-        joint, marginals, den = _cell_counts(code)
-        found = {0: Fraction(max(marginals), code.num_rules)}
-        top = min(i_max, code.u - 1)
-        if top:
-            if counts is None:
-                counts = verify._coverage(code.rules, top + 1)
-            found.update(_coverage_deception(code, top, 1, counts))
-        # Order u leaves no source to spoof.
-        deception = {i: found.get(i, Fraction(0)) for i in range(i_max + 1)}
-        posteriors = _posteriors(code, joint, marginals, den)
-    else:
-        cols = _columns(code)
-        deception = {i: _deception(code, cols, i) for i in range(i_max + 1)}
-        posteriors = _posteriors(code, *_joint_masses(code, cols))
+    cols = _columns(code)
+    deception = {i: _deception(code, cols, i) for i in range(i_max + 1)}
+    posteriors = _posteriors(code, *_joint_masses(code, cols))
     bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
     misses = (i for i in range(i_max + 1) if deception[i] != bounds[i])
     level = next(misses, i_max + 1) - 1

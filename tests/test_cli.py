@@ -112,6 +112,14 @@ class TestDevelop:
         assert obj["orbit_lengths"] == [17, 17]
         assert "orbit of base block 2: length 17 (full)" in err
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_design_json_round_trip(self, n):
+        from splitauth import develop_cyclic, family_u2
+        from splitauth.cli import _design_json, _load_design
+
+        design = develop_cyclic(family_u2(2, n))
+        assert _load_design(json.loads(_design_json(design)), "design.json") == design
+
     def test_reads_stdin(self, capsys, monkeypatch):
         _, family_json, _ = run_cli(["gen-family", "2", "1"], capsys)
         rc, out, _ = run_cli(
@@ -477,7 +485,7 @@ class TestShapeCheckedOnce:
 
     @pytest.mark.parametrize("orders", [0, 1])
     def test_analyze_counts_coverage_once(self, orders, table2_files, covered, capsys):
-        # the design verdict and every deception order share one count
+        # one count, for the design verdict only: security makes none
         rc, _, _ = run_cli(["analyze", str(table2_files[2]), "--orders", str(orders)], capsys)
         assert rc == (0 if orders == 1 else 1)
         assert covered == [(34, orders + 1)]

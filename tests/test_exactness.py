@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,9 +83,9 @@ def small_codes(draw) -> SplittingACode:
 
 @st.composite
 def uniform_codes(draw) -> SplittingACode:
-    """Codes with uniform key, source and split distributions, which take
-    the coverage-count path: random rules, so mostly not designs, and
-    with spare messages often never sent.  Distributions are left to
+    """Codes with uniform key, source and split distributions, where
+    every transcript has one mass: random rules, so mostly not designs,
+    and with spare messages often never sent.  Distributions are left to
     their defaults or spelled out, one object per entry."""
     u = draw(st.sampled_from((1, 2, 3, 4)))
     c = draw(st.sampled_from((1, 2)))
@@ -149,16 +149,12 @@ class TestSecurityAgainstReference:
     @given(code=uniform_codes())
     @settings(max_examples=150, deadline=None)
     def test_uniform_codes(self, code):
-        # they never reach the weighted engine's column scaling
-        with mock.patch.object(
-            splitauth.security, "_columns", side_effect=AssertionError
-        ):
-            for i in range(code.u + 1):
-                assert outcome(analyze, code, i) == outcome(reference.analyze, code, i)
-                assert deception_probability(code, i) == reference.deception_probability(
-                    code, i
-                )
-            assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+        for i in range(code.u + 1):
+            assert outcome(analyze, code, i) == outcome(reference.analyze, code, i)
+            assert deception_probability(code, i) == reference.deception_probability(
+                code, i
+            )
+        assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
 
     def test_one_weight_off_uniform_takes_the_engine(self, monkeypatch):
         calls = []
@@ -179,6 +175,7 @@ class TestSecurityAgainstReference:
                 code, i
             )
         assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
+        # each call scales the code to integers once
         assert len(calls) == 2 * (code.u + 1) + 1
 
     def test_weights_pair_with_ascending_messages(self):
@@ -194,12 +191,16 @@ class TestSecurityAgainstReference:
             )
         assert perfect_secrecy_check(code) == reference.perfect_secrecy_check(code)
 
-    def test_high_order_one_rule(self):
+    @pytest.mark.parametrize(
+        "source_dist",
+        [(), (Fraction(2, 13),) + (Fraction(1, 13),) * 11],
+        ids=["uniform", "weighted"],
+    )
+    def test_high_order_one_rule(self, source_dist):
         # C(12, 6) = 924 observed sets, each its own gain dict
         u = 12
         rule = tuple((m,) for m in range(1, u + 1))
-        source = (Fraction(2, u + 1),) + (Fraction(1, u + 1),) * (u - 1)
-        code = SplittingACode(u=u, v=u, rules=(rule,), source_dist=source)
+        code = SplittingACode(u=u, v=u, rules=(rule,), source_dist=source_dist)
         assert deception_probability(code, 6) == reference.deception_probability(
             code, 6
         )

@@ -402,6 +402,12 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(table1_code, i_max=3)
 
+    def test_security_makes_no_coverage_count(self, table2_code, covered):
+        analyze(table2_code, 1)
+        deception_probability(table2_code, 1)
+        perfect_secrecy_check(table2_code)
+        assert covered == []
+
 
 class TestHandComputedCode:
     """Two disjoint rules over eight messages, worked out by hand.
