@@ -17,16 +17,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "acode": "REJECT EncodingMatrix SplittingACode code_from_design decode "
-        "encode render_matrix rule_defects valid_messages",
-        "construct": "BaseBlockFamily Block CongruenceCase Part "
-        "SplittingDesign congruence_condition develop_cyclic family_u2 orbit_of "
-        "translate_block",
-        "params": "AdmissibilityReport DesignParams admissible binomial "
-        "check_divisibility check_fisher check_identities lambda_level",
+        "acode": "EncodingMatrix SplittingACode code_from_design render_matrix "
+        "rule_defects",
+        "construct": "BaseBlockFamily Block Part SplittingDesign develop_cyclic "
+        "family_u2 orbit_of translate_block",
         "security": "PosteriorTable SecurityReport analyze deception_bound "
         "deception_probability perfect_secrecy_check rule_count_floor",
-        "verify": "VerificationResult covered_subsets downgrade_check verify_design",
+        "verify": "DesignParams VerificationResult verify_design",
     }.items()
     for name in names.split()
 }

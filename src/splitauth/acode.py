@@ -3,7 +3,7 @@
 A code has u source states, v messages (1..v), and a set of encoding
 rules.  Under rule e, source s may be sent as any message in the cell
 e(s); the cells of one rule are pairwise disjoint, so every valid
-message decodes to exactly one source, and all cells share one size c
+message names exactly one source, and all cells share one size c
 (the splitting number).  The sender draws the rule, the source, and the
 message within the cell at random; all three distributions are exact
 rationals.
@@ -25,15 +25,6 @@ _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 def subscript(i: int) -> str:
     return str(i).translate(_SUBSCRIPTS)
 
-
-class _Reject:
-    """Sentinel for a message that is invalid under the rule in use."""
-
-    def __repr__(self) -> str:
-        return "REJECT"
-
-
-REJECT = _Reject()
 
 SplitDist = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -182,38 +173,6 @@ def code_from_design(
     return SplittingACode._on_checked_rules(
         result.params.u, design.v, design.blocks, key_dist, source_dist, split_dist
     )
-
-
-def encode(code: SplittingACode, rule: int, source: int, pick: int) -> int:
-    """The ``pick``-th smallest message of cell (rule, source), 1-based.
-
-    Which of the c candidates is sent is the sender's random draw;
-    callers supply the draw explicitly so encoding stays deterministic.
-    Cells are indexed in ascending message order regardless of how the
-    rule stores them.
-    """
-    cell = sorted(code.cell(rule, source))
-    if not 1 <= pick <= len(cell):
-        raise ValueError(f"pick {pick} out of range 1..{len(cell)}")
-    return cell[pick - 1]
-
-
-def decode(code: SplittingACode, rule: int, message: int) -> int | _Reject:
-    """The source that ``message`` encodes under ``rule``, or REJECT.
-
-    Uniqueness comes from cell disjointness.  REJECT is a value, not an
-    error: it is the receiver refusing an invalid message.
-    """
-    for s, cell in enumerate(code.rules[rule - 1], start=1):
-        if message in cell:
-            return s
-    return REJECT
-
-
-def valid_messages(code: SplittingACode, rule: int) -> frozenset[int]:
-    """All messages the receiver accepts under ``rule``: the union of
-    its cells, of size c*u."""
-    return frozenset(m for cell in code.rules[rule - 1] for m in cell)
 
 
 @frozen

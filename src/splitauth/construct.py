@@ -9,7 +9,6 @@ order of points inside a part).
 
 from __future__ import annotations
 
-import enum
 from itertools import chain, islice
 
 from ._record import frozen
@@ -169,34 +168,6 @@ def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:
         blocks=tuple(block for orbit in orbits for block in orbit),
         orbit_lengths=tuple(map(len, orbits)),
     )
-
-
-class CongruenceCase(enum.Enum):
-    """Residue class of v modulo u*(u-1)*c^2, the arithmetic
-    precondition for the cyclic constructions implemented here."""
-
-    ONE = "one"
-    BLOCK_SIZE = "block size"
-    NEITHER = "neither"
-
-
-def congruence_condition(v: int, c: int, u: int) -> CongruenceCase:
-    """Classify v modulo u*(u-1)*c^2.
-
-    ONE (v = 1 mod m) additionally guarantees that every orbit of a
-    structurally valid base block is full; BLOCK_SIZE is v = c*u mod m,
-    which permits short orbits.
-    """
-    if u < 2:
-        raise ValueError(f"congruence condition requires u >= 2, got u={u}")
-    if v < 1 or c < 1:
-        raise ValueError("v and c must be positive")
-    m = u * (u - 1) * c * c
-    if v % m == 1 % m:
-        return CongruenceCase.ONE
-    if v % m == (c * u) % m:
-        return CongruenceCase.BLOCK_SIZE
-    return CongruenceCase.NEITHER
 
 
 def family_u2(c: int, n: int) -> BaseBlockFamily:

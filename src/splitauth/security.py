@@ -20,6 +20,7 @@ add up as ints and each reported probability is one ``Fraction``.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, repeat
@@ -27,7 +28,6 @@ from operator import itemgetter, mul
 
 from ._record import frozen
 from .acode import SplittingACode, common_denominator
-from .params import binomial
 
 
 @frozen
@@ -265,7 +265,7 @@ def rule_count_floor(code: SplittingACode, t: int) -> Fraction:
     with these parameters can have: C(v, t) / (c^t * C(u, t))."""
     if not 1 <= t <= code.u:
         raise ValueError(f"strength t={t} out of range 1..{code.u}")
-    return Fraction(binomial(code.v, t), code.c**t * binomial(code.u, t))
+    return Fraction(math.comb(code.v, t), code.c**t * math.comb(code.u, t))
 
 
 def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:

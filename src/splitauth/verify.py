@@ -10,14 +10,50 @@ distinct; two points inside the same part are not covered by it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import chain, combinations, compress, filterfalse, product, repeat
 from operator import gt, itemgetter, lt, ne
 
 from . import construct
 from ._record import frozen
-from .construct import Block, SplittingDesign
-from .params import DesignParams, binomial, lambda_level
+from .construct import SplittingDesign
+
+
+@frozen
+class DesignParams:
+    """The tuple (t, v, b, c, u, lambda) of a splitting design: v points,
+    b blocks, each block u pairwise-disjoint parts of c points (block
+    size ``l`` = c*u), and every t-subset covered lambda times.
+
+    Construction enforces positivity, t <= u and c*u <= v, the preamble
+    constraints any splitting design must satisfy.
+    """
+
+    t: int
+    v: int
+    b: int
+    c: int
+    u: int
+    lam: int
+
+    def __post_init__(self) -> None:
+        for name in ("t", "v", "b", "c", "u", "lam"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.t > self.u:
+            raise ValueError(f"strength t={self.t} exceeds parts per block u={self.u}")
+        if self.l > self.v:
+            raise ValueError(f"block size c*u={self.l} exceeds point count v={self.v}")
+
+    @property
+    def l(self) -> int:
+        """The block size c*u."""
+        return self.c * self.u
+
+    def __str__(self) -> str:
+        return f"{self.t}-({self.v},{self.b},{self.l}={self.c}×{self.u},{self.lam})"
 
 
 @frozen
@@ -34,19 +70,6 @@ class VerificationResult:
     params: DesignParams | None
     defects: tuple[str, ...] = ()
     witness: tuple[tuple[int, ...], int, int] | None = None
-
-
-def covered_subsets(block: Block, t: int) -> list[tuple[int, ...]]:
-    """All t-subsets of points that this block covers, as sorted tuples.
-
-    One covered subset per way of picking t mutually distinct parts and
-    one point from each; since parts are disjoint, no subset repeats.
-    """
-    return [
-        tuple(sorted(points))
-        for parts in combinations(block, t)
-        for points in product(*parts)
-    ]
 
 
 def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
@@ -78,8 +101,8 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
 
 
 def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
-    """How many blocks cover each covered t-subset, keyed by the sorted
-    tuples :func:`covered_subsets` gives.
+    """How many blocks cover each covered t-subset, keyed by sorted
+    tuples of points.
 
     Counts a point column at a time: column (s, k) holds point k of part
     s of every block, and each choice of t columns from distinct parts
@@ -114,7 +137,7 @@ def _verify_shaped(
     :func:`_coverage` at t."""
     first = tuple(range(1, t + 1))
     reference = counts[first]
-    if len(counts) == binomial(design.v, t) and len(set(counts.values())) == 1:
+    if len(counts) == math.comb(design.v, t) and len(set(counts.values())) == 1:
         params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
         return VerificationResult(ok=True, params=params)
     # The lexicographically first subset not covered ``reference`` times:
@@ -143,32 +166,17 @@ def _first_gap(counts, v: int, t: int) -> list[tuple[int, ...]]:
 
     The covered subsets of each least point x are counted against the
     C(v-x, t-1) t-subsets that start at x; only the first x that falls
-    short is walked in order.  Every x before it is fully covered, so
-    the cost is bounded by the covered subsets, not by C(v, t).
+    short is walked in order, over the points its first starts[x] + 1
+    subsets use.  Every x before it is fully covered, so the cost is
+    bounded by the covered subsets, not by C(v, t) or v.
     """
     starts = Counter(map(itemgetter(0), counts))
     for x in range(1, v - t + 2):
-        if starts[x] < binomial(v - x, t - 1):
-            subsets = map((x,).__add__, combinations(range(x + 1, v + 1), t - 1))
+        if starts[x] < math.comb(v - x, t - 1):
+            # One of the first starts[x] + 1 subsets at x is missing, and
+            # each lexicographic step raises the largest point by at most one.
+            pool = range(x + 1, min(v, x + t - 1 + starts[x]) + 1)
+            subsets = map((x,).__add__, combinations(pool, t - 1))
             return [next(filterfalse(counts.__contains__, subsets))]
     return []
 
-
-def downgrade_check(design: SplittingDesign, t: int) -> bool:
-    """Whether the design is also an s-splitting design for every s < t,
-    with the index the replication formula predicts.
-
-    Requires the design to verify at strength t first.
-    """
-    top = verify_design(design, t)
-    if not top.ok or top.params is None:
-        raise ValueError(
-            "downgrade check requires a design that verifies at strength t: "
-            + "; ".join(top.defects)
-        )
-    for s in range(1, t):
-        expected = lambda_level(top.params, s)
-        result = verify_design(design, s)
-        if not result.ok or result.params is None or result.params.lam != expected:
-            return False
-    return True

@@ -7,7 +7,9 @@ and the set-keyed orbit walk, kept verbatim apart from imports, from
 ``orbit_of``, which returns only the translates now.  They
 are slow by design: every value they produce is computed the direct
 way, so tests compare the library's counting engine against them on
-small inputs.
+small inputs.  The level formula ``lambda_level`` and the receiver's
+view of a rule (``decode``, ``valid_messages``) live here too, since
+only tests use them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,41 @@ from splitauth import (
     SplittingACode,
     SplittingDesign,
     VerificationResult,
-    binomial,
     translate_block,
 )
 from splitauth.construct import Block, _block_key, _shape_defects
+
+
+def lambda_level(params: DesignParams, s: int) -> Fraction:
+    """Number of blocks covering a fixed s-subset, as an exact rational.
+
+    lambda_s = lambda * C(v-s, t-s) / (c^(t-s) * C(u-s, t-s)).  For a
+    realizable design this is a positive integer; integrality is *not*
+    enforced here so that arbitrary candidates can be screened.
+    """
+    if not 1 <= s <= params.t:
+        raise ValueError(f"level s={s} out of range 1..{params.t}")
+    num = params.lam * math.comb(params.v - s, params.t - s)
+    den = params.c ** (params.t - s) * math.comb(params.u - s, params.t - s)
+    return Fraction(num, den)
+
+
+def decode(code: SplittingACode, rule: int, message: int) -> int | None:
+    """The source that ``message`` encodes under ``rule``, or None when
+    the receiver rejects it.
+
+    Uniqueness comes from cell disjointness.
+    """
+    for s, cell in enumerate(code.rules[rule - 1], start=1):
+        if message in cell:
+            return s
+    return None
+
+
+def valid_messages(code: SplittingACode, rule: int) -> frozenset[int]:
+    """All messages the receiver accepts under ``rule``: the union of
+    its cells, of size c*u."""
+    return frozenset(m for cell in code.rules[rule - 1] for m in cell)
 
 
 def split_weight(code: SplittingACode, rule: int, source: int, message: int) -> Fraction:
@@ -208,7 +241,7 @@ def optimality_check(code: SplittingACode, t: int) -> bool | None:
         raise ValueError(f"strength t={t} out of range 1..{code.u}")
     if security_level(code, i_max=t - 1) < t - 1:
         return None
-    floor = Fraction(binomial(code.v, t), code.c**t * binomial(code.u, t))
+    floor = Fraction(math.comb(code.v, t), code.c**t * math.comb(code.u, t))
     return Fraction(code.num_rules) == floor
 
 

@@ -8,6 +8,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -20,19 +21,17 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from splitauth import (
     DesignParams,
     SplittingACode,
     SplittingDesign,
-    admissible,
     analyze,
     code_from_design,
-    covered_subsets,
     deception_bound,
     deception_probability,
     develop_cyclic,
     family_u2,
-    lambda_level,
     perfect_secrecy_check,
     rule_count_floor,
     rule_defects,
@@ -311,10 +310,10 @@ class TestCrossChecks:
             params = verify_design(design, t).params
             assert params is not None
             for s in range(1, t + 1):
-                expected = lambda_level(params, s)
+                expected = reference.lambda_level(params, s)
                 counts = Counter()
                 for block in design.blocks:
-                    counts.update(covered_subsets(block, s))
+                    counts.update(reference.covered_subsets(block, s))
                 subsets = list(combinations(range(1, design.v + 1), s))
                 assert set(counts) == set(subsets)
                 assert all(counts[subset] == expected for subset in subsets)
@@ -323,15 +322,15 @@ class TestCrossChecks:
         for design, t in self.all_designs():
             params = verify_design(design, t).params
             assert params is not None
-            report = admissible(params)
-            assert report.all_ok, report.failures
-            assert report.identities_ok == {
-                "replication": True,
-                "coverage": True,
-                "pairwise": True,
-            }
-            assert all(report.divisibility_ok.values())
-            assert report.fisher_ok is True
+            v, b, c, u, lam = params.v, params.b, params.c, params.u, params.lam
+            levels = [reference.lambda_level(params, s) for s in range(1, t + 1)]
+            r, lam2 = levels[0], levels[1]
+            assert b * params.l == v * r  # replication
+            assert math.comb(v, t) * lam == b * c**t * math.comb(u, t)  # coverage
+            # the pairs through one point, counted by block and by partner
+            assert r * (u - 1) * c == lam2 * (v - 1)
+            assert all(level.denominator == 1 for level in levels)
+            assert b * u >= v  # Fisher's bound
 
 
 class TestBenchmarkSelftest:

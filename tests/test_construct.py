@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from splitauth import (
     BaseBlockFamily,
-    CongruenceCase,
-    congruence_condition,
     develop_cyclic,
     family_u2,
     orbit_of,
@@ -154,27 +152,6 @@ class TestDevelopCyclic:
             BaseBlockFamily(v=9, u=2, c=2, base_blocks=(((1, 2), (3, 10)),))
         with pytest.raises(ValueError, match="parts"):
             BaseBlockFamily(v=9, u=2, c=2, base_blocks=(((1, 2),),))
-
-
-class TestCongruenceCondition:
-    def test_reference_moduli(self):
-        assert congruence_condition(9, 2, 2) is CongruenceCase.ONE
-        assert congruence_condition(17, 2, 2) is CongruenceCase.ONE
-
-    def test_block_size_case(self):
-        assert congruence_condition(12, 2, 2) is CongruenceCase.BLOCK_SIZE
-
-    def test_neither_case(self):
-        assert congruence_condition(11, 2, 2) is CongruenceCase.NEITHER
-
-    def test_single_part_rejected(self):
-        with pytest.raises(ValueError):
-            congruence_condition(9, 2, 1)
-
-    @given(st.integers(1, 3), st.integers(1, 6))
-    def test_family_moduli_always_hit_case_one(self, c, n):
-        v = 2 * c * c * n + 1
-        assert congruence_condition(v, c, 2) is CongruenceCase.ONE
 
 
 class TestFamilyU2:

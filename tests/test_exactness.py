@@ -19,11 +19,9 @@ import splitauth.security
 import splitauth.verify
 from splitauth import (
     BaseBlockFamily,
-    CongruenceCase,
     SplittingACode,
     SplittingDesign,
     analyze,
-    congruence_condition,
     deception_probability,
     develop_cyclic,
     family_u2,
@@ -362,7 +360,7 @@ class TestOrbitsAgainstReference:
         # by 6 fixes {1,7}|{2,8} and swaps the parts of {1,4}|{7,10}
         base = (((1, 7), (2, 8)), ((1, 4), (7, 10)), ((1, 2), (3, 5)))
         family = BaseBlockFamily(v=12, u=2, c=2, base_blocks=base)
-        assert congruence_condition(12, 2, 2) is CongruenceCase.BLOCK_SIZE
+        assert 12 % 8 == 4
         design = develop_cyclic(family)
         assert design == reference_develop(family)
         assert design.orbit_lengths == (6, 6, 12)

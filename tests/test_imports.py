@@ -1,7 +1,8 @@
-"""Which modules a `splitauth` process loads: each subcommand imports only
-what it runs, and `import splitauth` loads no submodule until a name is
-used.  These tests read `sys.modules` in a fresh interpreter; they time
-nothing.
+"""Which modules a `splitauth` process loads, and which names the package
+exports.  Each subcommand imports only what it runs, `import splitauth`
+loads no submodule until a name is used, and the exported names are the
+pipeline's.  The load tests read `sys.modules` in a fresh interpreter;
+nothing here is timed.
 """
 
 from __future__ import annotations
@@ -82,12 +83,31 @@ def test_family_commands_load_no_code_or_security(artifacts, argv):
     assert not modules & (CODE_AND_SECURITY | NEVER)
 
 
+def test_verify_loads_no_code_security_or_rationals(artifacts):
+    modules = loaded_by(run_main(["verify", "family.json", "-o", "out.txt"]), artifacts)
+    assert (artifacts / "out.txt").read_text() == "2-(9,9,4=2×2,1), λ=1\n"
+    assert "splitauth.verify" in modules
+    unused = {"fractions", "decimal", "splitauth.acode", "splitauth.security"}
+    assert not modules & (unused | NEVER)
+
+
 def test_analyze_loads_no_csv(artifacts):
     argv = ["analyze", "code.json", "-o", "report.txt"]
     modules = loaded_by(run_main(argv), artifacts)
     assert (artifacts / "report.txt").read_text().endswith("PASS\n")
     assert "splitauth.security" in modules
     assert not modules & ({"csv"} | NEVER)
+
+
+def test_exported_names_are_the_pipeline():
+    assert sorted(splitauth.__all__) == [
+        "BaseBlockFamily", "Block", "DesignParams", "EncodingMatrix", "Part",
+        "PosteriorTable", "SecurityReport", "SplittingACode", "SplittingDesign",
+        "VerificationResult", "analyze", "code_from_design", "deception_bound",
+        "deception_probability", "develop_cyclic", "family_u2", "orbit_of",
+        "perfect_secrecy_check", "render_matrix", "rule_count_floor", "rule_defects",
+        "translate_block", "verify_design",
+    ]
 
 
 def test_star_import_binds_every_exported_name():

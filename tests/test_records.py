@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from splitauth import (
-    AdmissibilityReport,
     BaseBlockFamily,
     DesignParams,
     EncodingMatrix,
@@ -61,19 +60,11 @@ class Case:
 CASES = [
     Case(
         DesignParams,
-        ("t", "v", "b", "c", "u", "lam", "l"),
-        (2, 9, 9, 2, 2, 1, 4),
+        ("t", "v", "b", "c", "u", "lam"),
+        (2, 9, 9, 2, 2, 1),
         6,
-        {"l": 4},
-        {"lam": 2},
-    ),
-    Case(
-        AdmissibilityReport,
-        ("identities_ok", "divisibility_ok", "fisher_ok", "failures"),
-        ({"replication": True}, {1: True}, True, []),
-        4,
         {},
-        {"fisher_ok": None},
+        {"lam": 2},
     ),
     Case(
         BaseBlockFamily, ("v", "u", "c", "base_blocks"), (9, 2, 2, BASE), 4, {}, {"v": 17}
@@ -243,7 +234,7 @@ def test_design_params_rejects_non_positive_integers(name, bad):
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((2, 9, 9, 2, 2, 1, 5), "l must equal c*u = 4, got 5"),
+        ((5, 20, 9, 2, 4, 1), "strength t=5 exceeds parts per block u=4"),
         ((3, 9, 9, 2, 2, 1), "strength t=3 exceeds parts per block u=2"),
         ((2, 3, 9, 2, 2, 1), "block size c*u=4 exceeds point count v=3"),
     ],

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from splitauth import (
     SplittingACode,
     analyze,
-    decode,
     deception_bound,
     deception_probability,
     perfect_secrecy_check,
     rule_count_floor,
-    valid_messages,
 )
 from conftest import TABLE1_RULES, TABLE2_RULES
-from reference import split_weight
+from reference import decode, split_weight, valid_messages
 
 
 # --- independent oracles -------------------------------------------------

@@ -1,29 +1,30 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 import splitauth.construct
 from splitauth import (
     DesignParams,
     SplittingDesign,
-    admissible,
-    binomial,
-    covered_subsets,
     develop_cyclic,
-    downgrade_check,
     family_u2,
-    lambda_level,
     verify_design,
 )
 from conftest import TABLE1_RULES, TABLE2_RULES
 
 
+
 def count_covering_blocks(design: SplittingDesign, points: tuple[int, ...]) -> int:
     """How many blocks cover the point subset, with multiplicity."""
     target = tuple(sorted(points))
-    return sum(target in covered_subsets(block, len(target)) for block in design.blocks)
+    covered = (reference.covered_subsets(block, len(target)) for block in design.blocks)
+    return sum(target in subsets for subsets in covered)
 
 
 def structure_defects(v: int, blocks) -> tuple[str, ...]:
@@ -65,9 +66,11 @@ class TestCheckStructure:
 
 
 class TestCoveredSubsets:
+    """The per-block subset list that the coverage oracle counts."""
+
     def test_cross_part_pairs_only(self):
         block = ((1, 2), (3, 5))
-        assert sorted(covered_subsets(block, 2)) == [
+        assert sorted(reference.covered_subsets(block, 2)) == [
             (1, 3),
             (1, 5),
             (2, 3),
@@ -75,7 +78,7 @@ class TestCoveredSubsets:
         ]
 
     def test_single_point_subsets(self):
-        assert sorted(covered_subsets(((1, 2), (3, 5)), 1)) == [
+        assert sorted(reference.covered_subsets(((1, 2), (3, 5)), 1)) == [
             (1,),
             (2,),
             (3,),
@@ -163,8 +166,11 @@ class TestVerifyDesign:
     def test_verified_parameters_are_admissible(self, table1_design, table2_design):
         for design in (table1_design, table2_design):
             result = verify_design(design, 2)
-            assert result.params is not None
-            assert admissible(result.params).all_ok
+            params = result.params
+            assert params is not None
+            levels = [reference.lambda_level(params, s) for s in (1, 2)]
+            assert all(level.denominator == 1 for level in levels)
+            assert params.b * params.u >= params.v
 
     def test_coverage_sum_identity(self, table2_design):
         # sum of all pair coverages = b * c^2 * C(u, 2)
@@ -176,7 +182,7 @@ class TestVerifyDesign:
             count_covering_blocks(table2_design, pair)
             for pair in combinations(range(1, 18), 2)
         )
-        assert total == params.b * params.c**2 * binomial(params.u, 2)
+        assert total == params.b * params.c**2 * math.comb(params.u, 2)
 
 
 class TestVerifiedOnce:
@@ -192,7 +198,7 @@ class TestVerifiedOnce:
     def test_downgrade_counts_only_lower_strengths(self, covered):
         design = develop_cyclic(family_u2(2, 1))
         assert verify_design(design, 2).ok
-        assert downgrade_check(design, 2) is True
+        assert verify_design(design, 1).ok
         assert covered == [(9, 2), (9, 1)]
 
     def test_shape_defects_returned_again(self, monkeypatch):
@@ -212,9 +218,7 @@ class TestVerifiedOnce:
 
 
 class TestDowngradeCheck:
-    def test_reference_designs(self, table1_design, table2_design):
-        assert downgrade_check(table1_design, 2) is True
-        assert downgrade_check(table2_design, 2) is True
+    """A design verified at strength t is one at every lower strength."""
 
     def test_replication_matches_formula(self, table2_design):
         result = verify_design(table2_design, 1)
@@ -222,12 +226,20 @@ class TestDowngradeCheck:
         params2 = verify_design(table2_design, 2).params
         assert params2 is not None
         assert result.params is not None
-        assert result.params.lam == lambda_level(params2, 1) == 8
+        assert result.params.lam == reference.lambda_level(params2, 1) == 8
 
-    def test_requires_verified_design(self):
-        design = SplittingDesign(v=9, blocks=(((1, 2), (3, 5)),))
-        with pytest.raises(ValueError):
-            downgrade_check(design, 2)
+
+class TestFirstGap:
+    def test_witness_memory_is_bounded_by_the_blocks(self):
+        design = SplittingDesign(v=10**6, blocks=(((1,), (2,)),))
+        tracemalloc.start()
+        try:
+            result = verify_design(design, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.witness == ((1, 3), 0, 1)
+        assert peak < 2**20
 
 
 def relabeled(blocks, mapping):
@@ -277,4 +289,6 @@ class TestUniformityImplication:
         design = SplittingDesign(v=9, blocks=blocks)
         result = verify_design(design, 2)
         if result.ok:
-            assert downgrade_check(design, 2)
+            lower = verify_design(design, 1)
+            assert lower.ok and lower.params is not None
+            assert lower.params.lam == reference.lambda_level(result.params, 1)
