@@ -109,6 +109,8 @@ class SplittingACode:
                     f"split_dist covers {len(self.split_dist)} rules, "
                     f"expected {len(self.rules)}"
                 )
+            # The rules passed the shape check, so every cell has c messages.
+            c = self.c
             for e, per_source in enumerate(self.split_dist, start=1):
                 if len(per_source) != self.u:
                     raise ValueError(
@@ -116,11 +118,7 @@ class SplittingACode:
                         f"sources, expected {self.u}"
                     )
                 for s, weights in enumerate(per_source, start=1):
-                    _check_dist(
-                        weights,
-                        len(self.rules[e - 1][s - 1]),
-                        f"split_dist of rule {e}, source {s}",
-                    )
+                    _check_dist(weights, c, f"split_dist of rule {e}, source {s}")
 
     @classmethod
     def _on_checked_rules(cls, *fields) -> SplittingACode:
@@ -139,10 +137,6 @@ class SplittingACode:
     def c(self) -> int:
         """The common cell size (splitting number)."""
         return len(self.rules[0][0])
-
-    def cell(self, rule: int, source: int) -> tuple[int, ...]:
-        """The cell of rule ``rule`` for source ``source`` (both 1-based)."""
-        return self.rules[rule - 1][source - 1]
 
 
 def code_from_design(

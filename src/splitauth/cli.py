@@ -7,6 +7,13 @@ Subcommands compose into pipelines over three JSON artifact kinds:
   code               {"u", "v", "rules", "key_dist", "source_dist"
                       [, "split_dist"]}, rationals as "p/q" strings
 
+Each input command reads its artifact through ``_load``, which hands the
+file's JSON object to one loader per kind (``_load_family``,
+``_load_design``, ``_load_code``).  A file that cannot be read, is not
+JSON, is not an object, breaks the schema or fails a constructor's check
+is malformed input.  ``_dump_json`` writes each artifact as one line,
+leaving out ``orbit_lengths`` and ``split_dist`` when empty.
+
 Exit codes: 0 = all checks pass, 1 = a verification or security claim
 fails, 2 = malformed input.  All output is deterministic.
 """
@@ -46,7 +53,10 @@ class _ClaimError(Exception):
         self.lines = lines
 
 
-def _read_json(path: str):
+def _load(path: str, build):
+    """The artifact ``build(obj, path)`` makes from the JSON object in
+    the file at ``path`` (- for stdin).  Every problem reading, parsing
+    or building it is malformed input."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -56,7 +66,7 @@ def _read_json(path: str):
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     # The decoder raises RecursionError on arrays or objects nested past
     # the interpreter's recursion limit.
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -66,6 +76,12 @@ def _read_json(path: str):
             f"{path}: an integer literal has more than "
             f"{sys.get_int_max_str_digits():,} digits"
         ) from exc
+    if not isinstance(obj, dict):
+        raise _InputError(f"{path}: expected a JSON object")
+    try:
+        return build(obj, path)
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,29 +95,28 @@ def _emit(text: str, out: str | None) -> None:
             raise _InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _require_int(obj: dict, key: str, where: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _InputError(f"{where}: field {key!r} must be an integer")
-    return value
+def _is_int(value) -> bool:
+    # JSON gives exact ints; its true and false are bools, not integers.
+    return type(value) is int
+
+
+def _ints(obj: dict, where: str, *keys: str) -> list[int]:
+    for key in keys:
+        if not _is_int(obj.get(key)):
+            raise _InputError(f"{where}: field {key!r} must be an integer")
+    return [obj[key] for key in keys]
 
 
 def _parse_blocks(raw, where: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if not isinstance(raw, list):
         raise _InputError(f"{where}: must be a list of blocks")
-    blocks = []
     for block in raw:
         if not isinstance(block, list):
             raise _InputError(f"{where}: block {block!r} must be a list of parts")
-        parts = []
         for part in block:
-            if not isinstance(part, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in part
-            ):
+            if not isinstance(part, list) or not all(map(_is_int, part)):
                 raise _InputError(f"{where}: part {part!r} must be a list of integers")
-            parts.append(tuple(part))
-        blocks.append(tuple(parts))
-    return tuple(blocks)
+    return tuple(tuple(map(tuple, block)) for block in raw)
 
 
 def _parse_rational(value, where: str, parsed: dict) -> Fraction:
@@ -132,39 +147,24 @@ def _parse_dist(raw, where: str, parsed: dict) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(x, where, parsed) for x in raw)
 
 
-def _load_family(obj, where: str) -> BaseBlockFamily:
-    if not isinstance(obj, dict):
-        raise _InputError(f"{where}: expected a JSON object")
-    v = _require_int(obj, "v", where)
-    u = _require_int(obj, "u", where)
-    c = _require_int(obj, "c", where)
+def _load_family(obj: dict, where: str) -> BaseBlockFamily:
+    v, u, c = _ints(obj, where, "v", "u", "c")
     base_blocks = _parse_blocks(obj.get("base_blocks"), f"{where}: base_blocks")
-    try:
-        return BaseBlockFamily(v=v, u=u, c=c, base_blocks=base_blocks)
-    except ValueError as exc:
-        raise _InputError(f"{where}: {exc}") from exc
+    return BaseBlockFamily(v=v, u=u, c=c, base_blocks=base_blocks)
 
 
-def _load_design(obj, where: str) -> SplittingDesign:
-    if not isinstance(obj, dict):
-        raise _InputError(f"{where}: expected a JSON object")
+def _load_design(obj: dict, where: str) -> SplittingDesign:
     if "base_blocks" in obj:
         return develop_cyclic(_load_family(obj, where))
-    v = _require_int(obj, "v", where)
-    t = _require_int(obj, "t", where) if "t" in obj else 2
+    v, t = _ints({"t": 2, **obj}, where, "v", "t")
     blocks = _parse_blocks(obj.get("blocks"), f"{where}: blocks")
     raw = obj.get("orbit_lengths", [])
-    if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in raw
-    ):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise _InputError(f"{where}: orbit_lengths must be a list of integers")
-    try:
-        return SplittingDesign(v=v, blocks=blocks, t=t, orbit_lengths=tuple(raw))
-    except ValueError as exc:
-        raise _InputError(f"{where}: {exc}") from exc
+    return SplittingDesign(v=v, blocks=blocks, t=t, orbit_lengths=tuple(raw))
 
 
-def _load_code(obj, where: str) -> SplittingACode:
+def _load_code(obj: dict, where: str) -> SplittingACode:
     """Build a code from JSON.
 
     Schema and distribution problems and u or v below 1 are input
@@ -173,10 +173,7 @@ def _load_code(obj, where: str) -> SplittingACode:
     property.
     """
     from .acode import SplittingACode, rule_defects
-    if not isinstance(obj, dict):
-        raise _InputError(f"{where}: expected a JSON object")
-    u = _require_int(obj, "u", where)
-    v = _require_int(obj, "v", where)
+    u, v = _ints(obj, where, "u", "v")
     if u < 1 or v < 1:
         raise _InputError(f"{where}: u and v must be positive")
     rules = _parse_blocks(obj.get("rules"), f"{where}: rules")
@@ -197,57 +194,24 @@ def _load_code(obj, where: str) -> SplittingACode:
     defects = rule_defects(rules, v, u)
     if defects:
         raise _ClaimError([f"structure: FAIL ({d})" for d in defects])
-    try:
-        return SplittingACode._on_checked_rules(
-            u, v, rules, key_dist, source_dist, split_dist
-        )
-    except ValueError as exc:
-        raise _InputError(f"{where}: {exc}") from exc
-
-
-def _dump_json(obj) -> str:
-    # One line: indent= would switch json to its pure-Python encoder.
-    return json.dumps(obj, ensure_ascii=False) + "\n"
-
-
-def _family_json(family: BaseBlockFamily) -> str:
-    return _dump_json(
-        {
-            "v": family.v,
-            "u": family.u,
-            "c": family.c,
-            "base_blocks": [
-                [list(part) for part in block] for block in family.base_blocks
-            ],
-        }
+    return SplittingACode._on_checked_rules(
+        u, v, rules, key_dist, source_dist, split_dist
     )
 
 
-def _design_json(design: SplittingDesign) -> str:
-    obj = {
-        "v": design.v,
-        "t": design.t,
-        "blocks": [[list(part) for part in block] for block in design.blocks],
-    }
-    if design.orbit_lengths:
-        obj["orbit_lengths"] = list(design.orbit_lengths)
-    return _dump_json(obj)
+def _dump_json(record, *fields: str) -> str:
+    """The named fields of ``record`` as one line of JSON, leaving out
+    the optional ones when empty: ``orbit_lengths`` and ``split_dist``."""
+    obj = {key: getattr(record, key) for key in fields}
+    for key in ("orbit_lengths", "split_dist"):
+        if key in obj and not obj[key]:
+            del obj[key]
+    # One line: indent= would switch json to its pure-Python encoder;
+    # default= keeps the C one and writes each Fraction as "p/q".
+    return json.dumps(obj, ensure_ascii=False, default=str) + "\n"
 
 
-def _code_json(code: SplittingACode) -> str:
-    obj = {
-        "u": code.u,
-        "v": code.v,
-        "rules": [[list(cell) for cell in rule] for rule in code.rules],
-        "key_dist": [str(p) for p in code.key_dist],
-        "source_dist": [str(p) for p in code.source_dist],
-    }
-    if code.split_dist is not None:
-        obj["split_dist"] = [
-            [[str(p) for p in weights] for weights in rule]
-            for rule in code.split_dist
-        ]
-    return _dump_json(obj)
+_CODE_FIELDS = ("u", "v", "rules", "key_dist", "source_dist", "split_dist")
 
 
 _FOLD_NAMES = ("zero", "one", "two", "three", "four", "five", "six", "seven")
@@ -263,13 +227,12 @@ def _secrecy_failure(report: SecurityReport) -> str:
     if table.unreachable:
         shown = ", ".join(str(m) for m in table.unreachable[:5])
         return f"messages {{{shown}}} can never be sent"
-    for (s, m), post in sorted(table.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        if post != table.priors[s]:
-            return (
-                f"p(s{subscript(s)} | m={m}) = {post} differs from the "
-                f"prior {table.priors[s]}"
-            )
-    return "no failure"
+    # The first differing posterior in (message, source) order.
+    m, s = min((m, s) for (s, m), post in table.entries.items() if post != table.priors[s])
+    return (
+        f"p(s{subscript(s)} | m={m}) = {table.entries[s, m]} differs from the "
+        f"prior {table.priors[s]}"
+    )
 
 
 def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
@@ -287,54 +250,38 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
         report = analyze(code, i_max)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    lines: list[str] = []
-    ok = True
-    if design_result.ok and design_result.params is not None:
-        params = design_result.params
-        lines.append(f"rules form a splitting design: {params}, λ={params.lam}")
+    # One (holds, line) pair per report line; a line that claims nothing holds.
+    claims: list[tuple[bool, str]] = []
+    params = design_result.params
+    if design_result.ok and params is not None:
+        claims.append((True, f"rules form a splitting design: {params}, λ={params.lam}"))
         if params.lam != 1:
-            lines.append(f"λ-uniformity: FAIL (index λ={params.lam}, need 1)")
-            ok = False
+            claims.append((False, f"λ-uniformity: FAIL (index λ={params.lam}, need 1)"))
     else:
-        lines.append("λ-uniformity: FAIL (" + design_result.defects[0] + ")")
-        ok = False
+        claims.append((False, f"λ-uniformity: FAIL ({design_result.defects[0]})"))
     for i in range(i_max + 1):
         pd, bound = report.deception[i], report.bounds[i]
-        if pd == bound:
-            lines.append(f"P_d{i} = {pd} (floor {bound}, met exactly)")
-        else:
-            lines.append(f"P_d{i} = {pd} (floor {bound}, exceeded)")
-            ok = False
-    if report.level >= i_max:
-        lines.append(f"{_fold_name(report.level)}-fold secure against spoofing")
+        verdict = "met exactly" if pd == bound else "exceeded"
+        claims.append((pd == bound, f"P_d{i} = {pd} (floor {bound}, {verdict})"))
+    level, fold = report.level, _fold_name(i_max)
+    if level >= i_max:
+        claims.append((True, f"{_fold_name(level)}-fold secure against spoofing"))
     else:
-        lines.append(
-            f"security level: {report.level}, short of {_fold_name(i_max)}-fold"
-        )
-        ok = False
+        claims.append((False, f"security level: {level}, short of {fold}-fold"))
     floor = rule_count_floor(code, i_max + 1)
-    if report.optimal is True:
-        lines.append(
-            f"encoding rules: {code.num_rules}, minimum possible: {floor}, optimal"
-        )
-    elif report.optimal is False:
-        lines.append(
-            f"encoding rules: {code.num_rules}, minimum possible: {floor}, "
-            "NOT optimal"
-        )
-        ok = False
+    if report.optimal is None:
+        needs = f"the rule-count floor requires {fold}-fold security"
+        claims.append((False, f"optimality: not applicable ({needs})"))
     else:
-        lines.append(
-            "optimality: not applicable (the rule-count floor requires "
-            f"{_fold_name(i_max)}-fold security)"
-        )
-        ok = False
+        verdict = "optimal" if report.optimal else "NOT optimal"
+        rules = f"encoding rules: {code.num_rules}, minimum possible: {floor}, {verdict}"
+        claims.append((report.optimal, rules))
     if report.secrecy_ok:
-        lines.append("perfect secrecy")
+        claims.append((True, "perfect secrecy"))
     else:
-        lines.append("perfect secrecy: FAIL (" + _secrecy_failure(report) + ")")
-        ok = False
-    lines.append("PASS" if ok else "FAIL")
+        claims.append((False, f"perfect secrecy: FAIL ({_secrecy_failure(report)})"))
+    ok = all(holds for holds, _ in claims)
+    lines = [line for _, line in claims] + ["PASS" if ok else "FAIL"]
     return "\n".join(lines) + "\n", ok
 
 
@@ -343,28 +290,25 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
         family = family_u2(args.c, args.n)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    _emit(_family_json(family), args.out)
+    _emit(_dump_json(family, "v", "u", "c", "base_blocks"), args.out)
     return 0
 
 
 def cmd_develop(args: argparse.Namespace) -> int:
-    obj = _read_json(args.input)
-    family = _load_family(obj, args.input)
-    design = develop_cyclic(family)
+    design = develop_cyclic(_load(args.input, _load_family))
     for index, length in enumerate(design.orbit_lengths, start=1):
         note = "full" if length == design.v else "short"
         print(
             f"orbit of base block {index}: length {length} ({note})",
             file=sys.stderr,
         )
-    _emit(_design_json(design), args.out)
+    _emit(_dump_json(design, "v", "t", "blocks", "orbit_lengths"), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify_design
-    obj = _read_json(args.input)
-    design = _load_design(obj, args.input)
+    design = _load(args.input, _load_design)
     t = args.strength if args.strength is not None else design.t
     try:
         result = verify_design(design, t)
@@ -378,19 +322,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_to_code(args: argparse.Namespace) -> int:
     from .acode import code_from_design
-    obj = _read_json(args.input)
-    design = _load_design(obj, args.input)
+    design = _load(args.input, _load_design)
     try:
         code = code_from_design(design)
     except ValueError as exc:
         raise _ClaimError([str(exc)]) from exc
-    _emit(_code_json(code), args.out)
+    _emit(_dump_json(code, *_CODE_FIELDS), args.out)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    obj = _read_json(args.input)
-    code = _load_code(obj, args.input)
+    code = _load(args.input, _load_code)
     i_max = args.orders
     if not 0 <= i_max <= code.u - 1:
         raise _InputError(
@@ -404,11 +346,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     from .acode import render_matrix
-    obj = _read_json(args.input)
-    code = _load_code(obj, args.input)
+    code = _load(args.input, _load_code)
     matrix = render_matrix(code)
     if args.format == "json":
-        _emit(_code_json(code), args.out)
+        _emit(_dump_json(code, *_CODE_FIELDS), args.out)
         return 0
     if args.format == "markdown":
         header = "| rule | " + " | ".join(matrix.source_labels) + " |"
@@ -443,6 +384,26 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+# The subcommands: name, help, handler, the kind of JSON its input
+# argument reads and the noun of its -o path (None: it has no such argument).
+_COMMANDS = (
+    ("gen-family", "generate the two-source base-block family for part size c, n blocks",
+     cmd_gen_family, None, "output"),
+    ("develop", "develop a base-block family cyclically into a design",
+     cmd_develop, "family", "output"),
+    ("verify", "verify a design exactly (or a family, developed first)",
+     cmd_verify, "design or family", "report"),
+    ("to-code", "turn a verified index-1 design into a uniform authentication code",
+     cmd_to_code, "design or family", "output"),
+    ("analyze", "exact security report for a code; exit 1 on any failed claim",
+     cmd_analyze, "code", "report"),
+    ("export", "export a code's encoding matrix",
+     cmd_export, "code", "output"),
+    ("demo", "rebuild a reference code, print its matrix and full security report",
+     cmd_demo, None, None),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitauth",
@@ -452,76 +413,38 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser(
-        "gen-family",
-        help="generate the two-source base-block family for part size c, n blocks",
-    )
-    p.add_argument("c", type=int, help="part size (splitting number)")
-    p.add_argument("n", type=int, help="number of base blocks")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_gen_family)
-
-    p = sub.add_parser(
-        "develop", help="develop a base-block family cyclically into a design"
-    )
-    p.add_argument("input", help="family JSON path, or - for stdin")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_develop)
-
-    p = sub.add_parser(
-        "verify", help="verify a design exactly (or a family, developed first)"
-    )
-    p.add_argument("input", help="design or family JSON path, or - for stdin")
-    p.add_argument(
+    parsers = {}
+    for name, summary, func, kind, _ in _COMMANDS:
+        parsers[name] = sub.add_parser(name, help=summary)
+        parsers[name].set_defaults(func=func)
+        if kind is not None:
+            parsers[name].add_argument("input", help=f"{kind} JSON path, or - for stdin")
+    # Each command's own arguments come before -o, as in its usage line.
+    parsers["gen-family"].add_argument("c", type=int, help="part size (splitting number)")
+    parsers["gen-family"].add_argument("n", type=int, help="number of base blocks")
+    parsers["verify"].add_argument(
         "-t",
         "--strength",
         type=int,
         help="strength to verify at (default: the design's declared t, or 2)",
     )
-    p.add_argument("-o", "--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "to-code",
-        help="turn a verified index-1 design into a uniform authentication code",
-    )
-    p.add_argument("input", help="design or family JSON path, or - for stdin")
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_to_code)
-
-    p = sub.add_parser(
-        "analyze", help="exact security report for a code; exit 1 on any failed claim"
-    )
-    p.add_argument("input", help="code JSON path, or - for stdin")
-    p.add_argument(
+    parsers["analyze"].add_argument(
         "--orders",
         type=int,
         default=1,
         help="largest spoofing order to check (default 1)",
     )
-    p.add_argument("-o", "--out", help="report path (default stdout)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("export", help="export a code's encoding matrix")
-    p.add_argument("input", help="code JSON path, or - for stdin")
-    p.add_argument(
+    parsers["export"].add_argument(
         "-f",
         "--format",
         choices=("csv", "markdown", "json"),
         default="csv",
         help="output format (default csv)",
     )
-    p.add_argument("-o", "--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser(
-        "demo",
-        help="rebuild a reference code, print its matrix and full security report",
-    )
-    p.add_argument("which", choices=("table1", "table2"))
-    p.set_defaults(func=cmd_demo)
-
+    parsers["demo"].add_argument("which", choices=("table1", "table2"))
+    for name, _, _, _, noun in _COMMANDS:
+        if noun is not None:
+            parsers[name].add_argument("-o", "--out", help=f"{noun} path (default stdout)")
     return parser
 
 

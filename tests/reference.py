@@ -3,8 +3,8 @@
 These are the original Fraction-per-transcript security enumeration,
 the lexicographic scan over all C(v, t) subsets in design verification
 and the set-keyed orbit walk, kept verbatim apart from imports, from
-``split_weight``, which was a method of ``SplittingACode``, and from
-``orbit_of``, which returns only the translates now.  They
+``split_weight`` and ``cell``, which were methods of ``SplittingACode``,
+and from ``orbit_of``, which returns only the translates now.  They
 are slow by design: every value they produce is computed the direct
 way, so tests compare the library's counting engine against them on
 small inputs.  The level formula ``lambda_level`` and the receiver's
@@ -45,6 +45,11 @@ def lambda_level(params: DesignParams, s: int) -> Fraction:
     return Fraction(num, den)
 
 
+def cell(code: SplittingACode, rule: int, source: int) -> tuple[int, ...]:
+    """The cell of rule ``rule`` for source ``source`` (both 1-based)."""
+    return code.rules[rule - 1][source - 1]
+
+
 def decode(code: SplittingACode, rule: int, message: int) -> int | None:
     """The source that ``message`` encodes under ``rule``, or None when
     the receiver rejects it.
@@ -65,12 +70,12 @@ def valid_messages(code: SplittingACode, rule: int) -> frozenset[int]:
 
 def split_weight(code: SplittingACode, rule: int, source: int, message: int) -> Fraction:
     """Probability of sending ``message`` given this rule and source."""
-    cell = code.cell(rule, source)
-    if message not in cell:
+    messages = cell(code, rule, source)
+    if message not in messages:
         return Fraction(0)
     if code.split_dist is None:
-        return Fraction(1, len(cell))
-    return code.split_dist[rule - 1][source - 1][sorted(cell).index(message)]
+        return Fraction(1, len(messages))
+    return code.split_dist[rule - 1][source - 1][sorted(messages).index(message)]
 
 
 def _joint_and_marginals(
@@ -88,7 +93,7 @@ def _joint_and_marginals(
             p_s = code.source_dist[s - 1]
             if p_s == 0:
                 continue
-            for m in code.cell(e, s):
+            for m in cell(code, e, s):
                 mass = p_e * p_s * split_weight(code, e, s, m)
                 joint[(s, m)] += mass
                 marginals[m] += mass
@@ -170,7 +175,7 @@ def deception_probability(code: SplittingACode, i: int) -> Fraction:
             m: s for s, cell in enumerate(code.rules[e - 1], start=1) for m in cell
         }
         for sources, p_sub in subset_dist.items():
-            for picks in product(*(code.cell(e, s) for s in sources)):
+            for picks in product(*(cell(code, e, s) for s in sources)):
                 mass = p_e * p_sub
                 for s, m in zip(sources, picks):
                     mass *= split_weight(code, e, s, m)

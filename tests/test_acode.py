@@ -199,6 +199,8 @@ class TestRenderMatrix:
     def test_cells_keep_stored_order(self, table1_code):
         matrix = render_matrix(table1_code)
         assert matrix.rule_labels[0] == "e₁"
+        assert len(matrix.rule_labels) == table1_code.num_rules
+        assert matrix.rule_labels[-1] == "e₉"
         assert matrix.source_labels == ("s₁", "s₂")
         assert matrix.cells[5] == ("{6,7}", "{8,1}")
         assert matrix.cells[8] == ("{9,1}", "{2,4}")

@@ -113,12 +113,27 @@ class TestDevelop:
         assert "orbit of base block 2: length 17 (full)" in err
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_design_json_round_trip(self, n):
+    def test_design_json_round_trip(self, n, tmp_path, capsys):
         from splitauth import develop_cyclic, family_u2
-        from splitauth.cli import _design_json, _load_design
+        from splitauth.cli import _load, _load_design
 
-        design = develop_cyclic(family_u2(2, n))
-        assert _load_design(json.loads(_design_json(design)), "design.json") == design
+        fam, target = tmp_path / "family.json", tmp_path / "design.json"
+        assert main(["gen-family", "2", str(n), "-o", str(fam)]) == 0
+        assert main(["develop", str(fam), "-o", str(target)]) == 0
+        design = _load(str(target), _load_design)
+        assert design.orbit_lengths == (design.v,) * n
+        assert design == develop_cyclic(family_u2(2, n))
+
+    def test_empty_family(self, tmp_path, capsys):
+        # v = 1 is a valid family size; its design has no blocks to verify
+        fam, target = tmp_path / "family.json", tmp_path / "design.json"
+        fam.write_text('{"v": 1, "u": 1, "c": 1, "base_blocks": []}')
+        rc, out, err = run_cli(["develop", str(fam)], capsys)
+        assert (rc, out, err) == (0, '{"v": 1, "t": 2, "blocks": []}\n', "")
+        target.write_text(out)
+        for source in (fam, target):
+            rc, out, _ = run_cli(["verify", str(source)], capsys)
+            assert (rc, out) == (1, "defect: design has no blocks\nFAIL\n")
 
     def test_reads_stdin(self, capsys, monkeypatch):
         _, family_json, _ = run_cli(["gen-family", "2", "1"], capsys)
@@ -155,6 +170,27 @@ class TestDevelop:
         rc, _, err = run_cli(["develop", "/nonexistent/family.json"], capsys)
         assert rc == 2
         assert "cannot read" in err
+
+
+class TestHelp:
+    """`--help` at the top level and for each subcommand, byte for byte.
+    argparse lays help out differently from one Python minor version to
+    the next, so the goldens hold for the version that rendered them."""
+
+    COMMANDS = ["gen-family", "develop", "verify", "to-code", "analyze", "export", "demo"]
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="help goldens are argparse's layout on Python 3.11",
+    )
+    @pytest.mark.parametrize("command", [None, *COMMANDS], ids=lambda c: c or "splitauth")
+    def test_matches_golden(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        golden = GOLDEN / "help" / f"{command or 'splitauth'}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestVerifyCommand:

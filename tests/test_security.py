@@ -15,7 +15,7 @@ from splitauth import (
     rule_count_floor,
 )
 from conftest import TABLE1_RULES, TABLE2_RULES
-from reference import decode, split_weight, valid_messages
+from reference import cell, decode, split_weight, valid_messages
 
 
 # --- independent oracles -------------------------------------------------
@@ -88,7 +88,7 @@ def cell_count_posteriors(code: SplittingACode) -> dict[tuple[int, int], Fractio
     table: dict[tuple[int, int], Fraction] = {}
     for m in range(1, code.v + 1):
         counts = [
-            sum(m in code.cell(e, s) for e in range(1, code.num_rules + 1))
+            sum(m in cell(code, e, s) for e in range(1, code.num_rules + 1))
             for s in range(1, code.u + 1)
         ]
         total = sum(counts)
