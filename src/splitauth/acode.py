@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import add, itemgetter, methodcaller, mul
 
 from . import construct
 from ._record import frozen
@@ -71,6 +73,29 @@ def _check_dist(dist: tuple[Fraction, ...], n: int, name: str) -> None:
         raise ValueError(f"{name} sums to {Fraction(total, den)}, expected 1")
 
 
+def _cells_sum_to_one(split, b: int, u: int, c: int) -> bool:
+    """Whether ``split`` has b rules of u cells of c weights, none of
+    them negative, each cell summing to 1.
+
+    Every weight's ratio is read once, and each cell's sum is built by
+    cross-multiplying over its own denominators, a rank column at a time.
+    """
+    cells = list(chain.from_iterable(split))
+    if len(split) != b or {*map(len, split)} != {u} or {*map(len, cells)} != {c}:
+        return False
+    ratios = list(map(methodcaller("as_integer_ratio"), chain.from_iterable(cells)))
+    nums, dens = list(map(itemgetter(0), ratios)), list(map(itemgetter(1), ratios))
+    if min(nums) < 0:
+        return False
+    # Cell k's weights of rank 0..r sum to num[k]/den[k].
+    num, den = nums[0::c], dens[0::c]
+    for r in range(1, c):
+        d = dens[r::c]
+        num = list(map(add, map(mul, num, d), map(mul, nums[r::c], den)))
+        den = list(map(mul, den, d))
+    return num == den
+
+
 @frozen
 class SplittingACode:
     """An authentication code with splitting.
@@ -103,7 +128,10 @@ class SplittingACode:
             object.__setattr__(self, "source_dist", _uniform(self.u))
         _check_dist(self.key_dist, len(self.rules), "key_dist")
         _check_dist(self.source_dist, self.u, "source_dist")
-        if self.split_dist is not None:
+        if self.split_dist is not None and not _cells_sum_to_one(
+            self.split_dist, len(self.rules), self.u, self.c
+        ):
+            # Something is off: find it cell by cell, in the order errors are named.
             if len(self.split_dist) != len(self.rules):
                 raise ValueError(
                     f"split_dist covers {len(self.split_dist)} rules, "

@@ -240,12 +240,11 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     and the overall verdict.  The code's rules must already be free of
     structural defects."""
     from .security import analyze, rule_count_floor
-    from .verify import _coverage, _verify_shaped
+    from .verify import _verify_shaped
     # The rules' shape is checked already, so the design verdict needs
     # only the count of the covered (i_max+1)-subsets.
-    counts = _coverage(code.rules, i_max + 1)
     design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
-    design_result = _verify_shaped(design, i_max + 1, code.c, code.u, counts)
+    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
     try:
         report = analyze(code, i_max)
     except ValueError as exc:

@@ -5,6 +5,15 @@ points; the parts of one block are pairwise disjoint.  Development
 translates every base block by each element of Z_v and keeps one copy
 of each distinct translate (block equality ignores part order and the
 order of points inside a part).
+
+A block list is in developed form when it is a concatenation of runs,
+each laid out as :func:`orbit_of` lays out an orbit: every block of a
+run is the translate by 1 of the one before it, point for point, and
+one more translate of its last block gives its first block back.  Such
+a list, as a multiset, is fixed by x -> x+1, so whatever it counts is
+the same on a set of points and on every translate of that set, and the
+blocks through point 1 decide it.  :func:`developed_runs` detects the
+form and :func:`through_point_1` picks those blocks.
 """
 
 from __future__ import annotations
@@ -147,11 +156,68 @@ def orbit_of(block: Block, v: int) -> tuple[Block, ...]:
     these point ranges zipped into parts and the parts into blocks, the
     same tuples :func:`translate_block` gives.
     """
-    key = _block_key(block)
-    periods = (j for j in range(1, v + 1) if v % j == 0)
-    length = next(j for j in periods if _block_key(translate_block(block, j, v)) == key)
+    return _translates(block, v, _period(block, v, _block_key, range(1, v + 1)))
+
+
+def _translates(block: Block, v: int, length: int) -> tuple[Block, ...]:
+    """Translates 0..length-1 of a block, length <= v, as :func:`orbit_of`
+    lays them out."""
     parts = (zip(*(chain(range(x, v + 1), range(1, x)) for x in part)) for part in block)
     return tuple(islice(zip(*parts), length))
+
+
+def _period(block: Block, v: int, key, shifts) -> int | None:
+    """The first of ``shifts`` that divides v and whose translate of the
+    block has the block's ``key``, or None."""
+    own = key(block)
+    return next(
+        (j for j in shifts if v % j == 0 and key(translate_block(block, j, v)) == own),
+        None,
+    )
+
+
+def developed_runs(blocks, v: int, key=_block_key) -> list[tuple[int, int]] | None:
+    """The runs of a block list in developed form, as (start, length)
+    pairs, or None when the list is not in that form.
+
+    The blocks must be free of shape defects.  ``key`` says when a run
+    closes: ``_block_key`` for designs, where the parts of a block form
+    a set; per part, as point sets, for codes, where each source must
+    map to itself.  Each run is cut at its orbit's length, the least
+    divisor of v whose translate closes its first block, so a run that
+    goes round its orbit twice is two runs.  Every run's last block is
+    checked before any run is compared block for block with the
+    translates of its first, so a list with a block dropped, or one
+    relabeled or shuffled, is turned away after a few block translates.
+    """
+    b, runs, a = len(blocks), [], 0
+    divisors = [j for j in range(1, min(v, b) + 1) if v % j == 0]
+    while a < b:
+        first = blocks[a]
+        length = _period(first, v, key, divisors)
+        if (
+            length is None
+            or a + length > b
+            or blocks[a + length - 1] != translate_block(first, length - 1, v)
+        ):
+            return None
+        runs.append((a, length))
+        a += length
+    if any(blocks[a : a + n] != _translates(blocks[a], v, n) for a, n in runs):
+        return None
+    return runs
+
+
+def through_point_1(blocks, v: int, runs) -> list[int]:
+    """Indices of the blocks that hold point 1 in developed ``runs``:
+    translate j of a run's first block holds it when that block holds
+    point 1 - j, for each j below the run's length."""
+    return [
+        a + j
+        for a, length in runs
+        for x in chain.from_iterable(blocks[a])
+        if (j := (1 - x) % v) < length
+    ]
 
 
 def develop_cyclic(family: BaseBlockFamily) -> SplittingDesign:

@@ -16,6 +16,18 @@ each of these transcripts adds its mass to the gains of the (u-i)·c
 messages in its unseen cells: b·C(u,i)·c^i·(u-i)·c gain updates.  The
 posteriors come from the same columns, per source and message.  Masses
 add up as ints and each reported probability is one ``Fraction``.
+
+A code whose rules are in developed form (see
+:mod:`splitauth.construct`, with each cell closing on its own source),
+with one key weight per run and no ``split_dist``, is fixed by
+x -> x+1 on messages: so are its transcripts' masses, the optimal gain
+f(S) of each observed set S, and p(s, m).  Only the rules through
+message 1 are laid out in columns, over the whole code's key
+denominator.  Every transcript that shows message 1 comes from one of
+them, so the walk gets f(S) exact for every S that holds message 1, and
+each i-set has i members: Σ_S f(S) = (v/i)·Σ_{S∋1} f(S) for i >= 1.  At
+order 0 message 1 is as good as any, and p(s, 1) stands for every
+p(s, m).  Any other code takes the whole walk.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter, mul
 
+from . import construct
 from ._record import frozen
 from .acode import SplittingACode, common_denominator
 
@@ -78,7 +91,9 @@ class _Columns:
     smallest message of cell (e+1, s+1) and ``weights[s][r][e]`` the
     mass p(s+1)·p(that message | e+1, s+1) times source_den·split_den;
     ``key[e]`` and ``source[s]`` are the probabilities of rule e+1 and
-    source s+1 times ``key_den`` and ``source_den``."""
+    source s+1 times ``key_den`` and ``source_den``.  With ``through_1``
+    the columns hold only the rules through message 1 of a code fixed
+    by x -> x+1, in their own order; ``key_den`` is still the code's."""
 
     key: tuple[int, ...]
     key_den: int
@@ -87,17 +102,26 @@ class _Columns:
     messages: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[tuple[tuple[int, ...], ...], ...]
     split_den: int
+    through_1: bool
 
 
 def _columns(code: SplittingACode) -> _Columns:
-    key, key_den = common_denominator(code.key_dist)
+    rules, keys, through_1, runs = code.rules, code.key_dist, False, None
+    if code.split_dist is None:  # runs close only on cells of the same source
+        runs = construct.developed_runs(rules, code.v, lambda rule: tuple(map(frozenset, rule)))
+    if runs is not None and all(keys[a : a + n].count(keys[a]) == n for a, n in runs):
+        # Every run has a rule through message 1, so these keys have
+        # every denominator of the code's.
+        picked = construct.through_point_1(rules, code.v, runs)
+        rules, keys, through_1 = [rules[e] for e in picked], [keys[e] for e in picked], True
+    key, key_den = common_denominator(keys)
     source, source_den = common_denominator(code.source_dist)
     u, c = code.u, code.c
     messages = tuple(
-        tuple(zip(*map(sorted, map(itemgetter(s), code.rules)))) for s in range(u)
+        tuple(zip(*map(sorted, map(itemgetter(s), rules)))) for s in range(u)
     )
     if code.split_dist is None:
-        flat, split_den = (1,) * (code.num_rules * u * c), c
+        flat, split_den = (1,) * (len(rules) * u * c), c
     else:
         flat, split_den = common_denominator(
             chain.from_iterable(chain.from_iterable(code.split_dist))
@@ -110,7 +134,7 @@ def _columns(code: SplittingACode) -> _Columns:
         )
         for s, w_s in enumerate(source)
     )
-    return _Columns(key, key_den, source, source_den, messages, weights, split_den)
+    return _Columns(key, key_den, source, source_den, messages, weights, split_den, through_1)
 
 
 def _joint_masses(
@@ -126,6 +150,8 @@ def _joint_masses(
         for ms, ws in zip(columns, weights):
             for m, w in zip(ms, map(mul, cols.key, ws)):
                 per[m] += w
+        if cols.through_1:
+            per[1:] = [per[1]] * code.v
         for m, n in enumerate(per):
             if n:
                 joint[s, m] = n
@@ -186,7 +212,9 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     and each transcript adds its mass to the gains of its (u-i)·c
     targets: b·C(u,i)·c^i·(u-i)·c gain updates in all.  ``success`` holds
     one gain dict per distinct observed set, keyed by its sorted
-    messages; that, not the columns, is what grows with i.
+    messages; that, not the columns, is what grows with i.  Columns of
+    the rules through message 1 sum only the sets that hold it, times
+    v/i (see the module docstring).
     """
     u = code.u
     sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
@@ -225,10 +253,11 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
                     gains = success[seen]
                     for m in row:
                         gains[m] = gains.get(m, 0) + mass
-    return Fraction(
-        sum(max(gains.values()) for gains in success.values()),
-        cols.key_den * sums[i] * cols.split_den**i,
-    )
+    den = cols.key_den * sums[i] * cols.split_den**i
+    if cols.through_1 and i:  # Σ_S f(S) = (v/i)·Σ_{S∋1} f(S)
+        through = [g for seen, g in success.items() if (seen if i == 1 else seen[0]) == 1]
+        return Fraction(sum(max(g.values()) for g in through) * code.v, den * i)
+    return Fraction(sum(max(gains.values()) for gains in success.values()), den)
 
 
 def deception_probability(code: SplittingACode, i: int) -> Fraction:

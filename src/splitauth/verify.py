@@ -6,6 +6,15 @@ the point set: the design holds when all C(v, t) subsets are counted
 and share one count.  A block covers a t-subset when each of
 its points lies in some part of the block and those parts are pairwise
 distinct; two points inside the same part are not covered by it.
+
+A block list in developed form (see :mod:`splitauth.construct`) is
+counted through point 1 only.  Every t-subset has a translate through
+point 1 that as many blocks cover, and only blocks through point 1
+cover it, so counting those blocks' covered t-subsets that hold point 1
+decides the design: C(v-1, t-1) subsets must share one count.  The
+verdict, the parameters (b counts every block) and the witness are the
+same as counting all subsets, since the subsets through point 1 come
+first in lexicographic order.
 """
 
 from __future__ import annotations
@@ -95,7 +104,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     elif t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
     else:
-        result = _verify_shaped(design, t, c, u, _coverage(design.blocks, t))
+        result = _verify_shaped(design, t, c, u)
     known[t] = result
     return result
 
@@ -129,20 +138,27 @@ def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
     return counts
 
 
-def _verify_shaped(
-    design: SplittingDesign, t: int, c: int, u: int, counts: Counter[tuple[int, ...]]
-) -> VerificationResult:
+def _verify_shaped(design: SplittingDesign, t: int, c: int, u: int) -> VerificationResult:
     """:func:`verify_design` for blocks already known to be free of
-    structural defects, each of u >= t parts of c points, given their
-    :func:`_coverage` at t."""
+    structural defects, each of u >= t parts of c points."""
+    blocks, v = design.blocks, design.v
+    runs = construct.developed_runs(blocks, v)
+    if runs is None:
+        counts, subsets = _coverage(blocks, t), math.comb(v, t)
+    else:
+        through = _coverage([blocks[e] for e in construct.through_point_1(blocks, v, runs)], t)
+        counts = Counter({subset: n for subset, n in through.items() if subset[0] == 1})
+        subsets = math.comb(v - 1, t - 1)
     first = tuple(range(1, t + 1))
     reference = counts[first]
-    if len(counts) == math.comb(design.v, t) and len(set(counts.values())) == 1:
+    if len(counts) == subsets and len(set(counts.values())) == 1:
         params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
         return VerificationResult(ok=True, params=params)
     # The lexicographically first subset not covered ``reference`` times:
     # the first covered one if reference is 0, else the first of the
     # covered subsets with another count and the first uncovered subset.
+    # Counted through point 1, a gap found past those subsets comes after
+    # the wrong count that must then be among them.
     if reference:
         wrong = compress(counts, map(ne, counts.values(), repeat(reference)))
         subset = min(chain(wrong, _first_gap(counts, design.v, t)))

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitauth import (
     SplittingACode,
@@ -15,6 +17,7 @@ from splitauth import (
     verify_design,
 )
 from conftest import TABLE1_RULES
+from splitauth.acode import _cells_sum_to_one
 from reference import decode, split_weight, valid_messages
 
 
@@ -156,7 +159,7 @@ class TestCodeFromDesign:
         design = develop_cyclic(family_u2(2, 1))
         assert verify_design(design, 2).ok
         assert code_from_design(design).rules == design.blocks
-        assert covered == [(9, 2)]
+        assert covered == [(4, 2)]  # the 4 of 9 blocks through point 1
 
     def test_round_trip_preserves_blocks(self, table2_design, table2_code):
         assert SplittingDesign(v=17, blocks=table2_code.rules).blocks == (
@@ -226,3 +229,54 @@ class TestRenderMatrix:
         code = SplittingACode(u=2, v=9, rules=design_rules)
         matrix = render_matrix(code)
         assert matrix.cells == (("{1,2}", "{3,5}"),)
+
+
+class TestSplitDistCheck:
+    """The one-pass check of split_dist against the cell-by-cell one."""
+
+    @given(
+        c=st.integers(1, 4),
+        rules=st.lists(
+            st.lists(st.fractions(-1, 2, max_denominator=12), min_size=8, max_size=8),
+            min_size=1,
+            max_size=3,
+        ),
+        closed=st.booleans(),
+    )
+    def test_agrees_with_each_cell_summed(self, c, rules, closed):
+        cells = [tuple(rule[k : k + c]) for rule in rules for k in (0, 4)]
+        if closed:  # the last weight makes each sum 1, so only a sign can be off
+            cells = [cell[:-1] + (1 - sum(cell[:-1]),) for cell in cells]
+        split = tuple(zip(cells[0::2], cells[1::2]))
+        want = all(min(cell) >= 0 and sum(cell) == 1 for rule in split for cell in rule)
+        assert _cells_sum_to_one(split, len(split), 2, c) == want
+
+    def test_wrong_shapes_are_not_accepted(self):
+        half = (Fraction(1, 2),) * 2
+        assert _cells_sum_to_one(((half, half),) * 2, 2, 2, 2)
+        assert not _cells_sum_to_one(((half, half),) * 2, 3, 2, 2)
+        assert not _cells_sum_to_one(((half,), (half, half)), 2, 2, 2)
+        assert not _cells_sum_to_one(((half, half), (half, half[:1])), 2, 2, 2)
+
+    def test_valid_split_is_not_checked_cell_by_cell(self, monkeypatch):
+        import splitauth.acode
+
+        names = []
+        check = splitauth.acode._check_dist
+
+        def recording(dist, n, name):
+            names.append(name)
+            return check(dist, n, name)
+
+        monkeypatch.setattr(splitauth.acode, "_check_dist", recording)
+        third = (Fraction(1, 3), Fraction(2, 3))
+        SplittingACode(u=2, v=9, rules=TABLE1_RULES, split_dist=((third, third),) * 9)
+        assert names == ["key_dist", "source_dist"]
+
+    def test_first_fault_is_named(self):
+        half = (Fraction(1, 2),) * 2
+        split = [(half, half)] * 9
+        split[5] = (half, (-Fraction(1, 2), Fraction(3, 2)))
+        split[2] = ((Fraction(1, 3),) * 2, half)
+        with pytest.raises(ValueError, match=r"^split_dist of rule 3, source 1 sums to 2/3"):
+            SplittingACode(u=2, v=9, rules=TABLE1_RULES, split_dist=tuple(split))

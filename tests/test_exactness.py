@@ -7,6 +7,8 @@ blocks in the same order.
 
 from __future__ import annotations
 
+import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import splitauth.construct
 import splitauth.security
 import splitauth.verify
 from splitauth import (
@@ -22,6 +25,7 @@ from splitauth import (
     SplittingACode,
     SplittingDesign,
     analyze,
+    code_from_design,
     deception_probability,
     develop_cyclic,
     family_u2,
@@ -391,3 +395,235 @@ class TestOrbitsAgainstReference:
         points = data.draw(st.permutations(range(1, v + 1)))[: c * u]
         block = tuple(tuple(points[k * c : (k + 1) * c]) for k in range(u))
         assert orbit_of(block, v) == reference.orbit_of(block, v)
+
+
+# --- developed form: the orbit path against the general path ---
+
+
+def _code_key(rule):
+    return tuple(map(frozenset, rule))
+
+
+def _shuffled(blocks, seed=0):
+    order = list(blocks)
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
+def _both_orders(v, u, blocks, source_dist=(), i_max=None):
+    """verify_design at every strength and analyze at every order, on
+    ``blocks`` and on a seeded shuffle of them: the two must agree.
+    Returns the developed order's results."""
+    mixed = _shuffled(blocks)
+    results = []
+    for t in range(1, u + 1):
+        result = verify_design(SplittingDesign(v=v, blocks=blocks), t)
+        assert verify_design(SplittingDesign(v=v, blocks=mixed), t) == result
+        results.append(result)
+    code = SplittingACode(u=u, v=v, rules=blocks, source_dist=source_dist)
+    shuffled = SplittingACode(u=u, v=v, rules=mixed, source_dist=source_dist)
+    for i in range(u + 1 if i_max is None else i_max + 1):
+        report = outcome(analyze, code, i)
+        assert outcome(analyze, shuffled, i) == report
+        results.append(report)
+    return code, results
+
+
+@st.composite
+def cyclic_families(draw) -> BaseBlockFamily:
+    """Base blocks over Z_v, v = p*q, u = 2..3, c = q: each scattered (a
+    full orbit, mostly), made of cosets of the subgroup of order q (every
+    part fixed by the shift by p, so a short orbit for codes too), or a
+    copy of an earlier base block."""
+    p, q = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    v, u = p * q, draw(st.integers(2, min(3, p)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("scattered", "cosets", "copy")))
+        if kind == "copy" and blocks:
+            blocks.append(draw(st.sampled_from(blocks)))
+        elif kind == "cosets":
+            residues = draw(st.permutations(range(1, p + 1)))[:u]
+            blocks.append(tuple(tuple(x + k * p for k in range(q)) for x in residues))
+        else:
+            points = draw(st.permutations(range(1, v + 1)))[: u * q]
+            blocks.append(tuple(tuple(points[k * q : (k + 1) * q]) for k in range(u)))
+    return BaseBlockFamily(v=v, u=u, c=q, base_blocks=tuple(blocks))
+
+
+class TestDevelopedForm:
+    """Rules in developed order take the orbit path, a shuffle of them
+    takes the general one, and both give the same results."""
+
+    @pytest.mark.parametrize(
+        "c,n", [(2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (2, 32), (3, 4), (4, 2)]
+    )
+    def test_ladder(self, c, n):
+        design = develop_cyclic(family_u2(c, n))
+        v, blocks = design.v, design.blocks
+        assert splitauth.construct.developed_runs(blocks, v, _code_key) == [
+            (k * v, v) for k in range(n)
+        ]
+        assert splitauth.construct.developed_runs(_shuffled(blocks), v) is None
+        code, results = _both_orders(v, 2, blocks)
+        assert splitauth.security._columns(code).through_1
+        assert results[1].ok and results[1].params.lam == 1
+        report = results[-2]  # i_max = 1
+        assert report.deception == {0: Fraction(2 * c, v), 1: Fraction(1, 2 * c * n)}
+        assert (report.level, report.optimal, report.secrecy_ok) == (1, True, True)
+
+    @given(family=cyclic_families(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_families(self, family, data):
+        design = develop_cyclic(family)
+        source_dist = data.draw(_weights_or_uniform(family.u))
+        code, results = _both_orders(family.v, family.u, design.blocks, source_dist)
+        u = family.u
+        for t in range(1, u + 1):
+            assert results[t - 1] == reference.verify_design(design, t)
+        for i in range(u + 1):
+            assert results[u + i] == outcome(reference.analyze, code, i)
+
+    @given(drawn=families().filter(lambda drawn: drawn[0].u <= 4))
+    @settings(max_examples=40, deadline=None)
+    def test_families_with_parts_swapped_by_the_shift(self, drawn):
+        # the shift by p maps a short orbit's block to itself as a
+        # design but moves its parts between sources
+        family = drawn[0]
+        design = develop_cyclic(family)
+        _, results = _both_orders(family.v, family.u, design.blocks)
+        for t in range(1, family.u + 1):
+            assert results[t - 1] == reference.verify_design(design, t)
+
+    def test_three_sources(self):
+        # (25, 3, 2): lambda = 1 at t = 2, order 2 far above its floor
+        family = BaseBlockFamily(
+            v=25, u=3, c=2, base_blocks=(((1, 16), (19, 5), (11, 17)),)
+        )
+        design = develop_cyclic(family)
+        code, results = _both_orders(25, 3, design.blocks, i_max=2)
+        assert results[1].ok and not results[2].ok
+        assert results[-1] == reference.analyze(code, 2)
+        assert results[-1].deception == {
+            0: Fraction(6, 25), 1: Fraction(1, 6), 2: Fraction(1)
+        }
+
+    def test_three_sources_cli(self, tmp_path, capsys):
+        from splitauth.cli import main
+
+        rules = develop_cyclic(
+            BaseBlockFamily(v=25, u=3, c=2, base_blocks=(((1, 16), (19, 5), (11, 17)),))
+        ).blocks
+        runs = []
+        for name, order in (("developed", rules), ("shuffled", _shuffled(rules))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"u": 3, "v": 25, "rules": order}))
+            runs.append((main(["analyze", str(path), "--orders", "2"]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and "P_d2 = 1 (floor 2/23, exceeded)" in runs[0][1].out
+
+    def test_reference_count_zero(self):
+        # only pairs at distance 2 are covered: (1, 2) never is, and the
+        # witness is the first covered pair
+        family = BaseBlockFamily(v=7, u=2, c=1, base_blocks=(((1,), (3,)),))
+        design = develop_cyclic(family)
+        code, results = _both_orders(7, 2, design.blocks)
+        assert results[1].witness == ((1, 3), 1, 0)
+        assert results[1] == reference.verify_design(design, 2)
+        assert results[2:] == [reference.analyze(code, i) for i in range(3)]
+
+
+def _table1_code(**fields) -> SplittingACode:
+    return SplittingACode(u=2, v=9, rules=develop_cyclic(family_u2(2, 1)).blocks, **fields)
+
+
+class TestNearMisses:
+    """Lists one step away from developed form take the general path
+    and still match the reference."""
+
+    @staticmethod
+    def check(code):
+        assert not splitauth.security._columns(code).through_1
+        for i in range(code.u + 1):
+            assert outcome(analyze, code, i) == outcome(reference.analyze, code, i)
+        design = SplittingDesign(v=code.v, blocks=code.rules)
+        for t in range(1, code.u + 1):
+            assert verify_design(design, t) == reference.verify_design(design, t)
+
+    def test_closing_translate_swaps_sources(self):
+        # over Z_4 the shift by 2 maps {1}|{3} to {3}|{1}: the same
+        # block, so the design is developed, but not the same cells
+        design = develop_cyclic(BaseBlockFamily(v=4, u=2, c=1, base_blocks=(((1,), (3,)),)))
+        assert design.blocks == (((1,), (3,)), ((2,), (4,)))
+        assert splitauth.construct.developed_runs(design.blocks, 4) == [(0, 2)]
+        assert splitauth.construct.developed_runs(design.blocks, 4, _code_key) is None
+        self.check(SplittingACode(u=2, v=4, rules=design.blocks))
+
+    def test_rule_dropped(self):
+        rules = develop_cyclic(family_u2(2, 2)).blocks
+        self.check(SplittingACode(u=2, v=17, rules=rules[:5] + rules[6:]))
+
+    def test_key_weight_changed_inside_a_run(self):
+        keys = (Fraction(1, 6), Fraction(1, 18)) + (Fraction(1, 9),) * 7
+        self.check(_table1_code(key_dist=keys))
+
+    def test_points_out_of_position(self):
+        rules = list(develop_cyclic(family_u2(2, 1)).blocks)
+        rules[3] = (rules[3][0][::-1], rules[3][1])
+        code = SplittingACode(u=2, v=9, rules=tuple(rules))
+        assert splitauth.construct.developed_runs(code.rules, 9) is None
+        self.check(code)
+
+    def test_weighted_cell_that_wraps(self):
+        half = (Fraction(1, 2),) * 2
+        rules = develop_cyclic(family_u2(2, 1)).blocks
+        assert rules[8] == ((9, 1), (2, 4))
+        split = ((half, half),) * 8 + (((Fraction(1, 3), Fraction(2, 3)), half),)
+        self.check(_table1_code(split_dist=split))
+
+
+class TestOrbitPathCost:
+    def test_developed_codes_never_build_full_columns(self, monkeypatch):
+        sizes = []
+        columns = splitauth.security._Columns
+
+        def recording(*fields):
+            sizes.append(len(fields[4][0][0]))  # rules in the message columns
+            return columns(*fields)
+
+        monkeypatch.setattr(splitauth.security, "_Columns", recording)
+        for c, n in ((2, 2), (2, 8), (3, 4)):
+            code = code_from_design(develop_cyclic(family_u2(c, n)))
+            analyze(code, 1)
+            deception_probability(code, 1)
+            perfect_secrecy_check(code)
+            assert sizes == [2 * c * n] * 3  # u·c rules through 1 per orbit
+            sizes.clear()
+
+    @pytest.mark.parametrize("damage", ["relabeled", "shuffled", "dropped"])
+    def test_other_lists_leave_before_any_point_pass(self, damage, monkeypatch):
+        design = develop_cyclic(family_u2(2, 32))
+        v, blocks = design.v, design.blocks
+        if damage == "relabeled":
+            image = [0] + random.Random(1).sample(range(1, v + 1), v)
+            blocks = tuple(tuple(tuple(image[x] for x in p) for p in b) for b in blocks)
+        elif damage == "shuffled":
+            blocks = _shuffled(blocks)
+        else:
+            blocks = blocks[:100] + blocks[101:]
+        passes, translated = [], []
+        translates = splitauth.construct._translates
+        translate = splitauth.construct.translate_block
+        monkeypatch.setattr(
+            splitauth.construct, "_translates", lambda *a: passes.append(a) or translates(*a)
+        )
+        monkeypatch.setattr(
+            splitauth.construct,
+            "translate_block",
+            lambda *a: translated.append(a) or translate(*a),
+        )
+        for key in (splitauth.construct._block_key, _code_key):
+            assert splitauth.construct.developed_runs(blocks, v, key) is None
+        assert passes == []
+        # v = 257 is prime: the shifts 1 and v, then the run's last block
+        assert len(translated) <= 2 * 3

@@ -193,13 +193,13 @@ class TestVerifiedOnce:
         first = verify_design(design, 2)
         assert verify_design(design, 2) is first
         assert verify_design(SplittingDesign(v=9, blocks=design.blocks), 2) == first
-        assert covered == [(9, 2), (9, 2)]
+        assert covered == [(4, 2), (4, 2)]  # the 4 of 9 blocks through point 1
 
     def test_downgrade_counts_only_lower_strengths(self, covered):
         design = develop_cyclic(family_u2(2, 1))
         assert verify_design(design, 2).ok
         assert verify_design(design, 1).ok
-        assert covered == [(9, 2), (9, 1)]
+        assert covered == [(4, 2), (4, 1)]
 
     def test_shape_defects_returned_again(self, monkeypatch):
         checked = []
