@@ -29,6 +29,7 @@ from .construct import (
     BaseBlockFamily,
     SplittingDesign,
     develop_cyclic,
+    developed_runs,
     family_u2,
 )
 
@@ -244,7 +245,8 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     # The rules' shape is checked already, so the design verdict needs
     # only the count of the covered (i_max+1)-subsets.
     design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
-    design_result = _verify_shaped(design, i_max + 1, code.c, code.u)
+    runs = developed_runs(code.rules, code.v)
+    design_result = _verify_shaped(design, i_max + 1, code.c, code.u, runs)
     try:
         report = analyze(code, i_max)
     except ValueError as exc:

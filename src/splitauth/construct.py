@@ -12,8 +12,10 @@ run is the translate by 1 of the one before it, point for point, and
 one more translate of its last block gives its first block back.  Such
 a list, as a multiset, is fixed by x -> x+1, so whatever it counts is
 the same on a set of points and on every translate of that set, and the
-blocks through point 1 decide it.  :func:`developed_runs` detects the
-form and :func:`through_point_1` picks those blocks.
+blocks through point 1 decide it; and since translation keeps a block's
+shape, its run-first blocks decide :func:`_shape_defects`.
+:func:`developed_runs` detects the form and :func:`through_point_1`
+picks the blocks through point 1.
 """
 
 from __future__ import annotations
@@ -180,7 +182,12 @@ def developed_runs(blocks, v: int, key=_block_key) -> list[tuple[int, int]] | No
     """The runs of a block list in developed form, as (start, length)
     pairs, or None when the list is not in that form.
 
-    The blocks must be free of shape defects.  ``key`` says when a run
+    Any list of blocks of integer points is taken, shape defects and
+    all: an empty list has no runs, and a list with an empty block or
+    part, or a point outside 1..v, is not in developed form, since no
+    translate gives those back.  Ragged parts and points repeated in a
+    block are translated like any other, so a list in developed form
+    has the shape of its run-first blocks.  ``key`` says when a run
     closes: ``_block_key`` for designs, where the parts of a block form
     a set; per part, as point sets, for codes, where each source must
     map to itself.  Each run is cut at its orbit's length, the least

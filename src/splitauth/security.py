@@ -15,7 +15,8 @@ rank in each observed cell, one column over the b rules per choice, and
 each of these transcripts adds its mass to the gains of the (u-i)·c
 messages in its unseen cells: b·C(u,i)·c^i·(u-i)·c gain updates.  The
 posteriors come from the same columns, per source and message.  Masses
-add up as ints and each reported probability is one ``Fraction``.
+add up as ints, each reported probability is one ``Fraction``, and
+equal integer ratios share one.
 
 A code whose rules are in developed form (see
 :mod:`splitauth.construct`, with each cell closing on its own source),
@@ -35,8 +36,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import itemgetter, mul
+from functools import lru_cache
+from itertools import chain, compress, filterfalse, repeat
+from operator import contains, eq, itemgetter, mul
 
 from . import construct
 from ._record import frozen
@@ -137,50 +139,53 @@ def _columns(code: SplittingACode) -> _Columns:
     return _Columns(key, key_den, source, source_den, messages, weights, split_den, through_1)
 
 
-def _joint_masses(
-    code: SplittingACode, cols: _Columns
-) -> tuple[dict[tuple[int, int], int], list[int], int]:
+def _joint_masses(code: SplittingACode, cols: _Columns) -> tuple[list[list[int]], list[int], int]:
     """The masses p(s, m) and p(m) as integers over the denominator that
-    comes last, from the scaled columns: per source, Σ_e key(e)·weight(e,
-    s, m) collected by message (p(m) indexed by message)."""
-    joint = {}
-    marginals = [0] * (code.v + 1)
-    for s, (columns, weights) in enumerate(zip(cols.messages, cols.weights), 1):
+    comes last, from the scaled columns: one list per source of Σ_e
+    key(e)·weight(e, s, m), and their sums, each indexed by message
+    (slot 0 unused)."""
+    joint = []
+    for columns, weights in zip(cols.messages, cols.weights):
         per = [0] * (code.v + 1)
         for ms, ws in zip(columns, weights):
             for m, w in zip(ms, map(mul, cols.key, ws)):
                 per[m] += w
         if cols.through_1:
             per[1:] = [per[1]] * code.v
-        for m, n in enumerate(per):
-            if n:
-                joint[s, m] = n
-                marginals[m] += n
-    return joint, marginals, cols.key_den * cols.source_den * cols.split_den
+        joint.append(per)
+    return joint, list(map(sum, zip(*joint))), cols.key_den * cols.source_den * cols.split_den
 
 
-def _posteriors(
-    code: SplittingACode,
-    joint: dict[tuple[int, int], int],
-    marginals: list[int],
-    den: int,
-) -> PosteriorTable:
-    """The table from integer masses p(s, m) and p(m) over ``den``;
-    ``marginals`` is indexed by message, slot 0 unused."""
-    priors = {s: code.source_dist[s - 1] for s in range(1, code.u + 1)}
-    unreachable = tuple(m for m in range(1, code.v + 1) if not marginals[m])
-    entries = {
-        (s, m): Fraction(joint.get((s, m), 0), marginals[m])
-        for m in range(1, code.v + 1)
-        if marginals[m]
-        for s in range(1, code.u + 1)
-    }
+def _posteriors(code: SplittingACode, cols: _Columns) -> PosteriorTable:
+    """The table from the integer masses of :func:`_joint_masses`.
+
+    Entries with one (p(s, m), p(m)) pair share one ``Fraction``, and so
+    do messages with one p(m).  Each p(s | m) is compared with p(s) by
+    cross-multiplying integers, per source and message.
+    """
+    joint, marginals, den = _joint_masses(code, cols)
+    u, v = code.u, code.v
+    unreachable = tuple(filterfalse(marginals.__getitem__, range(1, v + 1)))
+    # p(s, m)·source_den == source[s]·p(m), source by source
+    ok = not unreachable and all(
+        all(map(eq, map(mul, per, repeat(cols.source_den)), map(mul, marginals, repeat(w))))
+        for per, w in zip(joint, cols.source)
+    )
+    ratio = lru_cache(maxsize=None)(Fraction)  # one Fraction per distinct pair
+    # p(s, m) and p(m) of the reached messages, by message, then source
+    numerators = chain.from_iterable(compress(zip(*joint), marginals))
+    denominators = chain.from_iterable(map(repeat, filter(None, marginals), repeat(u)))
     return PosteriorTable(
-        priors=priors,
-        message_marginals={m: Fraction(n, den) for m, n in enumerate(marginals) if m},
-        entries=entries,
+        priors={s: code.source_dist[s - 1] for s in range(1, u + 1)},
+        message_marginals=dict(zip(range(1, v + 1), map(ratio, marginals[1:], repeat(den)))),
+        entries=dict(
+            zip(
+                [(s, m) for m in compress(range(v + 1), marginals) for s in range(1, u + 1)],
+                map(ratio, numerators, denominators),
+            )
+        ),
         unreachable=unreachable,
-        ok=not unreachable and all(p == priors[s] for (s, _), p in entries.items()),
+        ok=ok,
     )
 
 
@@ -193,7 +198,7 @@ def perfect_secrecy_check(code: SplittingACode) -> PosteriorTable:
     the prior; unreachable messages are reported separately as the
     cause.
     """
-    return _posteriors(code, *_joint_masses(code, _columns(code)))
+    return _posteriors(code, _columns(code))
 
 
 def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
@@ -213,8 +218,9 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     targets: b·C(u,i)·c^i·(u-i)·c gain updates in all.  ``success`` holds
     one gain dict per distinct observed set, keyed by its sorted
     messages; that, not the columns, is what grows with i.  Columns of
-    the rules through message 1 sum only the sets that hold it, times
-    v/i (see the module docstring).
+    the rules through message 1 add only the transcripts whose observed
+    set holds it, so ``success`` holds only those sets, and their sum is
+    taken v/i times (see the module docstring).
     """
     u = code.u
     sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
@@ -248,16 +254,19 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
                 observed = map(tuple, map(sorted, zip(*picked)))
             else:  # one message is its own key, and zip() of no column is empty
                 observed = picked[0] if i else repeat(())
-            for seen, mass, row in zip(observed, masses, rows):
+            transcripts = zip(observed, masses, rows)
+            if cols.through_1 and i:  # only the sets through message 1 are summed
+                transcripts = compress(transcripts, map(contains, zip(*picked), repeat(1)))
+            for seen, mass, row in transcripts:
                 if mass:
                     gains = success[seen]
                     for m in row:
                         gains[m] = gains.get(m, 0) + mass
     den = cols.key_den * sums[i] * cols.split_den**i
+    total = sum(max(gains.values()) for gains in success.values())
     if cols.through_1 and i:  # Σ_S f(S) = (v/i)·Σ_{S∋1} f(S)
-        through = [g for seen, g in success.items() if (seen if i == 1 else seen[0]) == 1]
-        return Fraction(sum(max(g.values()) for g in through) * code.v, den * i)
-    return Fraction(sum(max(gains.values()) for gains in success.values()), den)
+        return Fraction(total * code.v, den * i)
+    return Fraction(total, den)
 
 
 def deception_probability(code: SplittingACode, i: int) -> Fraction:
@@ -310,7 +319,7 @@ def analyze(code: SplittingACode, i_max: int | None = None) -> SecurityReport:
         raise ValueError(f"i_max={i_max} out of range 0..{code.u}")
     cols = _columns(code)
     deception = {i: _deception(code, cols, i) for i in range(i_max + 1)}
-    posteriors = _posteriors(code, *_joint_masses(code, cols))
+    posteriors = _posteriors(code, cols)
     bounds = {i: deception_bound(code, i) for i in range(i_max + 1)}
     misses = (i for i in range(i_max + 1) if deception[i] != bounds[i])
     level = next(misses, i_max + 1) - 1

@@ -8,13 +8,21 @@ its points lies in some part of the block and those parts are pairwise
 distinct; two points inside the same part are not covered by it.
 
 A block list in developed form (see :mod:`splitauth.construct`) is
-counted through point 1 only.  Every t-subset has a translate through
-point 1 that as many blocks cover, and only blocks through point 1
-cover it, so counting those blocks' covered t-subsets that hold point 1
-decides the design: C(v-1, t-1) subsets must share one count.  The
-verdict, the parameters (b counts every block) and the witness are the
-same as counting all subsets, since the subsets through point 1 come
-first in lexicographic order.
+told once, before anything else, and then shape-checked by the first
+block of each run: every other block is a translate of its run's
+first, point for point, and translation by j is a bijection of 1..v,
+so it keeps part count, part size and disjointness.  Any other list,
+and a developed one whose run-first blocks have a defect, is checked
+block by block, so every defect keeps its text and index.
+
+A well-shaped list in developed form is counted through point 1 only.
+Every t-subset has a translate through point 1 that as many blocks
+cover, and only blocks through point 1 cover it, so counting those
+blocks' covered t-subsets that hold point 1 decides the design:
+C(v-1, t-1) subsets must share one count.  The verdict, the parameters
+(b counts every block) and the witness are the same as counting all
+subsets, since the subsets through point 1 come first in lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -98,13 +106,20 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     known = design.__dict__.setdefault("_verified", {})
     if t in known:
         return known[t]
-    defects, c, u = construct._shape_defects(design.blocks, design.v)
+    blocks, v = design.blocks, design.v
+    runs = construct.developed_runs(blocks, v)
+    # A developed list is well-shaped when its run-first blocks are (see
+    # the module docstring); defects are named by walking every block.
+    firsts = blocks if runs is None else [blocks[a] for a, _ in runs]
+    defects, c, u = construct._shape_defects(firsts, v)
+    if defects and runs:
+        defects, c, u = construct._shape_defects(blocks, v)
     if defects:
         result = VerificationResult(ok=False, params=None, defects=tuple(defects))
     elif t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
     else:
-        result = _verify_shaped(design, t, c, u)
+        result = _verify_shaped(design, t, c, u, runs)
     known[t] = result
     return result
 
@@ -138,11 +153,13 @@ def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
     return counts
 
 
-def _verify_shaped(design: SplittingDesign, t: int, c: int, u: int) -> VerificationResult:
+def _verify_shaped(
+    design: SplittingDesign, t: int, c: int, u: int, runs: list[tuple[int, int]] | None
+) -> VerificationResult:
     """:func:`verify_design` for blocks already known to be free of
-    structural defects, each of u >= t parts of c points."""
+    structural defects, each of u >= t parts of c points, and their
+    :func:`construct.developed_runs`."""
     blocks, v = design.blocks, design.v
-    runs = construct.developed_runs(blocks, v)
     if runs is None:
         counts, subsets = _coverage(blocks, t), math.comb(v, t)
     else:

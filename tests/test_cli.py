@@ -537,8 +537,33 @@ class TestShapeCheckedOnce:
         source = design if command == "to-code" else code
         rc, _, _ = run_cli([command, str(source)], capsys)
         assert rc == 0
+        # the design in developed form by the first blocks of its 2 runs,
+        # the code's rules whole when they are loaded
+        assert checked == [2 if command == "to-code" else 34]
+        assert counted == [34]
+
+    def test_relabeled_design_checked_whole(self, table2_files, checked, counted, capsys):
+        _, design, _ = table2_files
+        obj = json.loads(design.read_text())
+        image = [0, *range(17, 0, -1)]  # x -> 18 - x: a design, but not in developed form
+        obj["blocks"] = [[[image[x] for x in part] for part in block] for block in obj["blocks"]]
+        design.write_text(json.dumps(obj))
+        rc, _, _ = run_cli(["to-code", str(design)], capsys)
+        assert rc == 0
         assert checked == [34]
         assert counted == [34]
+
+    def test_defective_run_checked_whole(self, table2_files, checked, capsys):
+        _, design, _ = table2_files
+        obj = json.loads(design.read_text())
+        # every block of the second run repeats a point: the list is still
+        # in developed form, and the defects name all 17 blocks
+        obj["blocks"][17:] = [[part, part] for part, _ in obj["blocks"][17:]]
+        design.write_text(json.dumps(obj))
+        rc, out, _ = run_cli(["to-code", str(design)], capsys)
+        assert rc == 1
+        assert checked == [2, 34]
+        assert "block 18 repeats point" in out
 
     def test_demo(self, checked, counted, capsys):
         rc, _, _ = run_cli(["demo", "table1"], capsys)

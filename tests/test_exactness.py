@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -451,6 +452,10 @@ def cyclic_families(draw) -> BaseBlockFamily:
     return BaseBlockFamily(v=v, u=u, c=q, base_blocks=tuple(blocks))
 
 
+# (25, 3, 2): lambda = 1 at t = 2, order 2 far above its floor
+_THREE_SOURCES = BaseBlockFamily(v=25, u=3, c=2, base_blocks=(((1, 16), (19, 5), (11, 17)),))
+
+
 class TestDevelopedForm:
     """Rules in developed order take the orbit path, a shuffle of them
     takes the general one, and both give the same results."""
@@ -483,6 +488,8 @@ class TestDevelopedForm:
             assert results[t - 1] == reference.verify_design(design, t)
         for i in range(u + 1):
             assert results[u + i] == outcome(reference.analyze, code, i)
+        table = perfect_secrecy_check(code)
+        assert repr(table) == repr(reference.perfect_secrecy_check(code))
 
     @given(drawn=families().filter(lambda drawn: drawn[0].u <= 4))
     @settings(max_examples=40, deadline=None)
@@ -531,6 +538,98 @@ class TestDevelopedForm:
         assert results[1].witness == ((1, 3), 1, 0)
         assert results[1] == reference.verify_design(design, 2)
         assert results[2:] == [reference.analyze(code, i) for i in range(3)]
+
+
+def _damaged(block, kind, v):
+    """``block`` with one point or part changed: its first point moved
+    outside 1..v or onto the block's last point, its first part one point
+    shorter, or its last part repeated as an extra part."""
+    first, *rest = block
+    if kind == "outside":
+        return ((v + 1, *first[1:]), *rest)
+    if kind == "repeated":
+        return ((rest[-1][-1], *first[1:]), *rest)
+    if kind == "shrunk":
+        return (first[:-1], *rest)
+    return (*block, block[-1])
+
+
+class TestShapeByRunFirstBlocks:
+    """A list in developed form is shape-checked by the first block of
+    each run; every verdict, defect text and witness is the one the whole
+    per-point loop (``reference.verify_design``) gives."""
+
+    @staticmethod
+    def check(v, blocks):
+        """The results at t = 1..3, the one at t = 1 returned."""
+        results = [
+            outcome(verify_design, SplittingDesign(v=v, blocks=blocks), t) for t in range(1, 4)
+        ]
+        assert results == [
+            outcome(reference.verify_design, SplittingDesign(v=v, blocks=blocks), t)
+            for t in range(1, 4)
+        ]
+        defects = splitauth.construct._shape_defects(blocks, v)[0]
+        assert results[0].defects == (tuple(defects) if blocks else ("design has no blocks",))
+        return results[0]
+
+    @given(
+        family=cyclic_families(),
+        kind=st.sampled_from(("outside", "repeated", "shrunk", "extra part")),
+        at_first=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_damaged_block(self, family, kind, at_first, data):
+        v, blocks = family.v, develop_cyclic(family).blocks
+        runs = splitauth.construct.developed_runs(blocks, v)
+        later = [a + j for a, n in runs for j in range(1, n)]
+        k = data.draw(st.sampled_from([a for a, _ in runs] if at_first or not later else later))
+        damaged = blocks[:k] + (_damaged(blocks[k], kind, v),) + blocks[k + 1 :]
+        assert not self.check(v, damaged).ok
+
+    @given(
+        family=cyclic_families(),
+        kind=st.sampled_from(("repeated", "shrunk", "extra part")),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_base_block(self, family, kind, data):
+        # every translate carries the damage, so the list stays in
+        # developed form and the run-first blocks find the defect
+        assume(kind != "shrunk" or family.c > 1)  # an empty part has no translates
+        bases = list(family.base_blocks)
+        h = data.draw(st.integers(0, len(bases) - 1))
+        bases[h] = _damaged(bases[h], kind, family.v)
+        blocks = tuple(chain.from_iterable(orbit_of(base, family.v) for base in bases))
+        assert splitauth.construct.developed_runs(blocks, family.v) is not None
+        assert not self.check(family.v, blocks).ok
+
+    @pytest.mark.parametrize(
+        "blocks,v,runs",
+        [
+            ((), 5, []),
+            (((),), 5, None),
+            ((((), (1,)),), 5, None),
+            ((((1,), ()), ((2,), ())), 2, None),
+            ((((1, 2), (3,)), ((2, 3), (4,))), 5, None),
+            ((((1,), (2,)), ((2,), (3,), (4,))), 5, None),
+            ((((1,), (2,)), ((2,),)), 5, None),
+            ((((1,),),), 1, [(0, 1)]),
+            ((((1,), (1,)),), 1, [(0, 1)]),
+            ((((1,), (2,)),), 1, None),
+            ((((1, 1), (3,)), ((2, 2), (4,)), ((3, 3), (1,)), ((4, 4), (2,))), 4, [(0, 2), (2, 2)]),
+        ],
+        ids=[
+            "empty list", "empty block", "empty part", "empty parts", "ragged parts",
+            "ragged blocks", "short block", "v=1", "v=1 repeated", "v=1 outside",
+            "repeats in every translate",
+        ],
+    )
+    def test_developed_runs_of_malformed_lists(self, blocks, v, runs):
+        assert splitauth.construct.developed_runs(blocks, v) == runs
+        splitauth.construct.developed_runs(blocks, v, _code_key)
+        self.check(v, blocks)
 
 
 def _table1_code(**fields) -> SplittingACode:
@@ -627,3 +726,85 @@ class TestOrbitPathCost:
         assert passes == []
         # v = 257 is prime: the shifts 1 and v, then the run's last block
         assert len(translated) <= 2 * 3
+
+    @pytest.mark.parametrize(
+        "family,i,expected",
+        [
+            (family_u2(2, 4), 1, Fraction(1, 16)),
+            (family_u2(2, 32), 1, Fraction(1, 128)),
+            (_THREE_SOURCES, 1, Fraction(1, 6)),
+            (_THREE_SOURCES, 2, Fraction(1)),
+        ],
+        ids=["c2n4", "c2n32", "(25,3,2) order 1", "(25,3,2) order 2"],
+    )
+    def test_deception_keeps_only_sets_through_1(self, family, i, expected, monkeypatch):
+        kept = []
+
+        class Recording(defaultdict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kept.append(self)
+
+        monkeypatch.setattr(splitauth.security, "defaultdict", Recording)
+        code = SplittingACode(u=family.u, v=family.v, rules=develop_cyclic(family).blocks)
+        assert deception_probability(code, i) == expected
+        (success,) = kept
+        assert success and all((seen if i == 1 else seen[0]) == 1 for seen in success)
+
+
+class TestSharedPosteriors:
+    """One Fraction per distinct (p(s, m), p(m)) pair, every posterior
+    still compared with its own source's prior."""
+
+    def test_shared_pair_with_different_priors_fails(self):
+        # every p(m) is 1/5; at message 2 sources 1 and 2 both have
+        # posterior 2/5, whose prior is 2/5 for source 1 but 3/10 for 2.
+        # Every other posterior of 2/5 or 1/10 belongs to a source of that
+        # prior, so comparing each shared Fraction with the prior of one
+        # source that has it would pass this code.
+        rules = (
+            ((1,), (2,), (3,), (4,)), ((2,), (1,), (5,), (3,)),
+            ((3,), (4,), (1,), (5,)), ((5,), (3,), (4,), (2,)),
+            ((4,), (5,), (2,), (1,)), ((4,), (5,), (3,), (2,)),
+            ((5,), (2,), (4,), (1,)), ((4,), (5,), (3,), (1,)),
+        )
+        weights = (6, 6, 6, 4, 3, 2, 2, 1)
+        code = SplittingACode(
+            u=4,
+            v=5,
+            rules=rules,
+            key_dist=tuple(Fraction(w, 30) for w in weights),
+            source_dist=(Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)),
+        )
+        table = perfect_secrecy_check(code)
+        assert table.entries[1, 2] is table.entries[2, 2] == Fraction(2, 5)
+        assert table.priors[1] != table.priors[2]
+        assert table.unreachable == ()
+        assert not table.ok
+        assert table == reference.perfect_secrecy_check(code)
+        first = {}
+        for (s, _), p in table.entries.items():
+            first.setdefault(id(p), p == table.priors[s])
+        assert all(first.values())
+
+    @pytest.mark.parametrize(
+        "source_dist",
+        [(), (Fraction(1, 3), Fraction(2, 3))],
+        ids=["uniform", "weighted"],
+    )
+    @pytest.mark.parametrize("c,n", [(2, 1), (2, 8), (3, 4)])
+    def test_developed_codes_build_u_posteriors(self, c, n, source_dist):
+        design = develop_cyclic(family_u2(c, n))
+        code = code_from_design(design, source_dist=source_dist)
+        table = perfect_secrecy_check(code)
+        assert len({id(p) for p in table.entries.values()}) <= code.u
+        assert len({id(p) for p in table.message_marginals.values()}) == 1
+        assert table.ok
+        assert table == reference.perfect_secrecy_check(code)
+
+    @given(code=st.one_of(small_codes(), uniform_codes()))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_print_as_the_reference(self, code):
+        # the same entries in the same order: by message, then source
+        table = perfect_secrecy_check(code)
+        assert repr(table) == repr(reference.perfect_secrecy_check(code))
