@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import add, itemgetter, methodcaller, mul
 
@@ -165,6 +166,13 @@ class SplittingACode:
     def c(self) -> int:
         """The common cell size (splitting number)."""
         return len(self.rules[0][0])
+
+    @cached_property
+    def runs(self) -> list[tuple[int, int]] | None:
+        """The rules' :func:`construct.developed_runs`, found on first use
+        and kept, like ``verify_design``'s result on a design: the fields
+        are immutable, and ``runs`` is not one of them."""
+        return construct.developed_runs(self.rules, self.v)
 
 
 def code_from_design(

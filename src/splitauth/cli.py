@@ -15,7 +15,8 @@ is malformed input.  ``_dump_json`` writes each artifact as one line,
 leaving out ``orbit_lengths`` and ``split_dist`` when empty.
 
 Exit codes: 0 = all checks pass, 1 = a verification or security claim
-fails, 2 = malformed input.  All output is deterministic.
+fails, 2 = malformed input or running out of memory, with one
+``error:`` line on stderr.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import json
 import re
 import sys
 
-from .construct import (
-    BaseBlockFamily,
-    SplittingDesign,
-    develop_cyclic,
-    developed_runs,
-    family_u2,
-)
+from .construct import BaseBlockFamily, SplittingDesign, develop_cyclic, family_u2
 
 # Commands import what they use, so each process pays only for its own.
 TYPE_CHECKING = False
@@ -244,9 +239,7 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     from .verify import _verify_shaped
     # The rules' shape is checked already, so the design verdict needs
     # only the count of the covered (i_max+1)-subsets.
-    design = SplittingDesign(v=code.v, blocks=code.rules, t=i_max + 1)
-    runs = developed_runs(code.rules, code.v)
-    design_result = _verify_shaped(design, i_max + 1, code.c, code.u, runs)
+    design_result = _verify_shaped(code.rules, code.v, code.runs, i_max + 1, code.c, code.u)
     try:
         report = analyze(code, i_max)
     except ValueError as exc:
@@ -456,8 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     except _ClaimError as exc:
         print("\n".join(exc.lines + ["FAIL"]))
         return 1
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_InputError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

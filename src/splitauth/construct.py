@@ -6,14 +6,18 @@ translates every base block by each element of Z_v and keeps one copy
 of each distinct translate (block equality ignores part order and the
 order of points inside a part).
 
-A block list is in developed form when it is a concatenation of runs,
-each laid out as :func:`orbit_of` lays out an orbit: every block of a
-run is the translate by 1 of the one before it, point for point, and
-one more translate of its last block gives its first block back.  Such
-a list, as a multiset, is fixed by x -> x+1, so whatever it counts is
-the same on a set of points and on every translate of that set, and the
+A block list is in developed form when it is a concatenation of runs:
+every block of a run is the translate by 1 of the one before it, point
+for point, and one more translate of its last block gives its first
+block back part for part, each part taken as a point set.  Such a list,
+as a multiset of blocks with ordered parts, is fixed by x -> x+1, so it
+is fixed as a design and as a code: whatever it counts is the same on a
+set of points or messages and on every translate of that set, and the
 blocks through point 1 decide it; and since translation keeps a block's
-shape, its run-first blocks decide :func:`_shape_defects`.
+shape, its run-first blocks decide :func:`_shape_defects`.  A short
+orbit whose closing translate permutes the parts of its block, as the
+shift by 2 maps {1}|{3} to {3}|{1} over Z_4, is one orbit of the design
+but not a run, so a list holding one takes the whole count.
 :func:`developed_runs` detects the form and :func:`through_point_1`
 picks the blocks through point 1.
 """
@@ -178,7 +182,7 @@ def _period(block: Block, v: int, key, shifts) -> int | None:
     )
 
 
-def developed_runs(blocks, v: int, key=_block_key) -> list[tuple[int, int]] | None:
+def developed_runs(blocks, v: int) -> list[tuple[int, int]] | None:
     """The runs of a block list in developed form, as (start, length)
     pairs, or None when the list is not in that form.
 
@@ -187,21 +191,22 @@ def developed_runs(blocks, v: int, key=_block_key) -> list[tuple[int, int]] | No
     part, or a point outside 1..v, is not in developed form, since no
     translate gives those back.  Ragged parts and points repeated in a
     block are translated like any other, so a list in developed form
-    has the shape of its run-first blocks.  ``key`` says when a run
-    closes: ``_block_key`` for designs, where the parts of a block form
-    a set; per part, as point sets, for codes, where each source must
-    map to itself.  Each run is cut at its orbit's length, the least
-    divisor of v whose translate closes its first block, so a run that
-    goes round its orbit twice is two runs.  Every run's last block is
-    checked before any run is compared block for block with the
-    translates of its first, so a list with a block dropped, or one
-    relabeled or shuffled, is turned away after a few block translates.
+    has the shape of its run-first blocks.  A run closes only when a
+    translate gives back its first block part for part, each part as a
+    point set, so that every cell of a code maps to its own source; a
+    translate that permutes the parts never closes it (see the module
+    docstring).  Each run is cut at the least divisor of v whose
+    translate closes its first block, so a run that goes round twice is
+    two runs.  Every run's last block is checked before any run is
+    compared block for block with the translates of its first, so a
+    list with a block dropped, or one relabeled or shuffled, is turned
+    away after a few block translates.
     """
     b, runs, a = len(blocks), [], 0
     divisors = [j for j in range(1, min(v, b) + 1) if v % j == 0]
     while a < b:
         first = blocks[a]
-        length = _period(first, v, key, divisors)
+        length = _period(first, v, lambda block: [*map(frozenset, block)], divisors)
         if (
             length is None
             or a + length > b

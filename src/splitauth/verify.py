@@ -119,7 +119,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     elif t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
     else:
-        result = _verify_shaped(design, t, c, u, runs)
+        result = _verify_shaped(blocks, v, runs, t, c, u)
     known[t] = result
     return result
 
@@ -153,13 +153,10 @@ def _coverage(blocks, t: int) -> Counter[tuple[int, ...]]:
     return counts
 
 
-def _verify_shaped(
-    design: SplittingDesign, t: int, c: int, u: int, runs: list[tuple[int, int]] | None
-) -> VerificationResult:
-    """:func:`verify_design` for blocks already known to be free of
-    structural defects, each of u >= t parts of c points, and their
-    :func:`construct.developed_runs`."""
-    blocks, v = design.blocks, design.v
+def _verify_shaped(blocks, v: int, runs, t: int, c: int, u: int) -> VerificationResult:
+    """:func:`verify_design` for blocks on points 1..v already known to
+    be free of structural defects, each of u >= t parts of c points,
+    with their :func:`construct.developed_runs`."""
     if runs is None:
         counts, subsets = _coverage(blocks, t), math.comb(v, t)
     else:
@@ -169,7 +166,7 @@ def _verify_shaped(
     first = tuple(range(1, t + 1))
     reference = counts[first]
     if len(counts) == subsets and len(set(counts.values())) == 1:
-        params = DesignParams(t=t, v=design.v, b=design.b, c=c, u=u, lam=reference)
+        params = DesignParams(t=t, v=v, b=len(blocks), c=c, u=u, lam=reference)
         return VerificationResult(ok=True, params=params)
     # The lexicographically first subset not covered ``reference`` times:
     # the first covered one if reference is 0, else the first of the
@@ -178,7 +175,7 @@ def _verify_shaped(
     # the wrong count that must then be among them.
     if reference:
         wrong = compress(counts, map(ne, counts.values(), repeat(reference)))
-        subset = min(chain(wrong, _first_gap(counts, design.v, t)))
+        subset = min(chain(wrong, _first_gap(counts, v, t)))
     else:
         subset = min(counts)
     n = counts[subset]

@@ -512,12 +512,35 @@ class TestShapeCheckedOnce:
         sizes = []
         count = splitauth.verify._verify_shaped
 
-        def counting(design, *args):
-            sizes.append(design.b)
-            return count(design, *args)
+        def counting(blocks, *args):
+            sizes.append(len(blocks))
+            return count(blocks, *args)
 
         monkeypatch.setattr(splitauth.verify, "_verify_shaped", counting)
         return sizes
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        import splitauth.construct
+
+        sizes = []
+        search = splitauth.construct.developed_runs
+
+        def recording(blocks, *args):
+            sizes.append(len(blocks))
+            return search(blocks, *args)
+
+        # every module that holds the search, under whatever name imported it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("splitauth") and vars(module).get("developed_runs") is search:
+                monkeypatch.setattr(module, "developed_runs", recording)
+        return sizes
+
+    def test_analyze_searches_runs_once(self, table2_files, searched, capsys):
+        # the design verdict and the security analysis share the code's runs
+        rc, _, _ = run_cli(["analyze", str(table2_files[2])], capsys)
+        assert rc == 0
+        assert searched == [34]
 
     @pytest.mark.parametrize("orders", [0, 1])
     def test_analyze_counts_coverage_once(self, orders, table2_files, covered, capsys):
@@ -645,14 +668,15 @@ class TestCostBoundedByInput:
 
     RULE = [[[199999], [200000]]]
 
-    def run_process(self, tmp_path, argv, obj):
+    def run_process(self, tmp_path, argv, obj, timeout=5, **kwargs):
         target = tmp_path / "big.json"
         target.write_text(json.dumps(obj))
         return subprocess.run(
             [sys.executable, "-m", "splitauth", *argv, str(target)],
             capture_output=True,
             text=True,
-            timeout=5,
+            timeout=timeout,
+            **kwargs,
         )
 
     def test_verify(self, tmp_path):
@@ -673,6 +697,21 @@ class TestCostBoundedByInput:
         assert time.perf_counter() - start < 1.0
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.endswith(": key_dist: '1e10000000' is not a rational\n")
+
+    def test_out_of_memory(self, tmp_path):
+        # analyze still lists every one of the 10**6 messages; with its
+        # address space capped at 120 MiB the child runs out of memory
+        import resource
+
+        limit = 120 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        obj = {"u": 2, "v": 1000000, "rules": [[[1], [2]]]}
+        proc = self.run_process(tmp_path, ["analyze"], obj, timeout=60, preexec_fn=cap)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: out of memory\n"
 
     def test_analyze(self, tmp_path):
         proc = self.run_process(

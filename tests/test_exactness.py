@@ -401,10 +401,6 @@ class TestOrbitsAgainstReference:
 # --- developed form: the orbit path against the general path ---
 
 
-def _code_key(rule):
-    return tuple(map(frozenset, rule))
-
-
 def _shuffled(blocks, seed=0):
     order = list(blocks)
     random.Random(seed).shuffle(order)
@@ -466,7 +462,7 @@ class TestDevelopedForm:
     def test_ladder(self, c, n):
         design = develop_cyclic(family_u2(c, n))
         v, blocks = design.v, design.blocks
-        assert splitauth.construct.developed_runs(blocks, v, _code_key) == [
+        assert splitauth.construct.developed_runs(blocks, v) == [
             (k * v, v) for k in range(n)
         ]
         assert splitauth.construct.developed_runs(_shuffled(blocks), v) is None
@@ -582,7 +578,8 @@ class TestShapeByRunFirstBlocks:
     @settings(max_examples=150, deadline=None)
     def test_one_damaged_block(self, family, kind, at_first, data):
         v, blocks = family.v, develop_cyclic(family).blocks
-        runs = splitauth.construct.developed_runs(blocks, v)
+        # a list that closes only as a design is damaged as one run
+        runs = splitauth.construct.developed_runs(blocks, v) or [(0, len(blocks))]
         later = [a + j for a, n in runs for j in range(1, n)]
         k = data.draw(st.sampled_from([a for a, _ in runs] if at_first or not later else later))
         damaged = blocks[:k] + (_damaged(blocks[k], kind, v),) + blocks[k + 1 :]
@@ -602,8 +599,11 @@ class TestShapeByRunFirstBlocks:
         h = data.draw(st.integers(0, len(bases) - 1))
         bases[h] = _damaged(bases[h], kind, family.v)
         blocks = tuple(chain.from_iterable(orbit_of(base, family.v) for base in bases))
-        assert splitauth.construct.developed_runs(blocks, family.v) is not None
         assert not self.check(family.v, blocks).ok
+        # About a third of these lists close only as designs: a shift
+        # fixes a block of few points by permuting its parts.  They are
+        # checked above, but only developed ones count toward the examples.
+        assume(splitauth.construct.developed_runs(blocks, family.v) is not None)
 
     @pytest.mark.parametrize(
         "blocks,v,runs",
@@ -618,7 +618,7 @@ class TestShapeByRunFirstBlocks:
             ((((1,),),), 1, [(0, 1)]),
             ((((1,), (1,)),), 1, [(0, 1)]),
             ((((1,), (2,)),), 1, None),
-            ((((1, 1), (3,)), ((2, 2), (4,)), ((3, 3), (1,)), ((4, 4), (2,))), 4, [(0, 2), (2, 2)]),
+            ((((1, 1), (3,)), ((2, 2), (4,)), ((3, 3), (1,)), ((4, 4), (2,))), 4, [(0, 4)]),
         ],
         ids=[
             "empty list", "empty block", "empty part", "empty parts", "ragged parts",
@@ -628,7 +628,6 @@ class TestShapeByRunFirstBlocks:
     )
     def test_developed_runs_of_malformed_lists(self, blocks, v, runs):
         assert splitauth.construct.developed_runs(blocks, v) == runs
-        splitauth.construct.developed_runs(blocks, v, _code_key)
         self.check(v, blocks)
 
 
@@ -651,11 +650,11 @@ class TestNearMisses:
 
     def test_closing_translate_swaps_sources(self):
         # over Z_4 the shift by 2 maps {1}|{3} to {3}|{1}: the same
-        # block, so the design is developed, but not the same cells
+        # block, so one orbit of the design, but not the same cells, so
+        # not a run
         design = develop_cyclic(BaseBlockFamily(v=4, u=2, c=1, base_blocks=(((1,), (3,)),)))
         assert design.blocks == (((1,), (3,)), ((2,), (4,)))
-        assert splitauth.construct.developed_runs(design.blocks, 4) == [(0, 2)]
-        assert splitauth.construct.developed_runs(design.blocks, 4, _code_key) is None
+        assert splitauth.construct.developed_runs(design.blocks, 4) is None
         self.check(SplittingACode(u=2, v=4, rules=design.blocks))
 
     def test_rule_dropped(self):
@@ -699,6 +698,25 @@ class TestOrbitPathCost:
             assert sizes == [2 * c * n] * 3  # u·c rules through 1 per orbit
             sizes.clear()
 
+    @pytest.mark.parametrize("relabeled", [False, True])
+    def test_one_search_per_code(self, relabeled, monkeypatch):
+        calls = []
+        search = splitauth.construct.developed_runs
+        monkeypatch.setattr(
+            splitauth.construct, "developed_runs", lambda *a: calls.append(a) or search(*a)
+        )
+        rules = develop_cyclic(family_u2(2, 4)).blocks
+        if relabeled:
+            image = [0] + random.Random(1).sample(range(1, 34), 33)
+            rules = tuple(tuple(tuple(image[x] for x in p) for p in r) for r in rules)
+        code = SplittingACode(u=2, v=33, rules=rules)
+        analyze(code, 1)
+        deception_probability(code, 0)
+        deception_probability(code, 1)
+        perfect_secrecy_check(code)
+        assert splitauth.security._columns(code).through_1 is not relabeled
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("damage", ["relabeled", "shuffled", "dropped"])
     def test_other_lists_leave_before_any_point_pass(self, damage, monkeypatch):
         design = develop_cyclic(family_u2(2, 32))
@@ -721,11 +739,10 @@ class TestOrbitPathCost:
             "translate_block",
             lambda *a: translated.append(a) or translate(*a),
         )
-        for key in (splitauth.construct._block_key, _code_key):
-            assert splitauth.construct.developed_runs(blocks, v, key) is None
+        assert splitauth.construct.developed_runs(blocks, v) is None
         assert passes == []
         # v = 257 is prime: the shifts 1 and v, then the run's last block
-        assert len(translated) <= 2 * 3
+        assert len(translated) <= 3
 
     @pytest.mark.parametrize(
         "family,i,expected",
