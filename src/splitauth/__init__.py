@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "acode": "EncodingMatrix SplittingACode code_from_design render_matrix "
-        "rule_defects",
+        "acode": "SplittingACode code_from_design rule_defects",
         "construct": "BaseBlockFamily Block Part SplittingDesign develop_cyclic "
         "family_u2 orbit_of translate_block",
         "security": "PosteriorTable SecurityReport analyze deception_bound "

@@ -15,19 +15,11 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import add, itemgetter, methodcaller, mul
 
 from . import construct
 from ._record import frozen
 from .construct import Block, SplittingDesign
 from .verify import verify_design
-
-_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-
-
-def subscript(i: int) -> str:
-    return str(i).translate(_SUBSCRIPTS)
-
 
 SplitDist = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -78,23 +70,14 @@ def _cells_sum_to_one(split, b: int, u: int, c: int) -> bool:
     """Whether ``split`` has b rules of u cells of c weights, none of
     them negative, each cell summing to 1.
 
-    Every weight's ratio is read once, and each cell's sum is built by
-    cross-multiplying over its own denominators, a rank column at a time.
+    Every weight is scaled once over one common denominator, and each
+    cell's numerators must sum to it.
     """
     cells = list(chain.from_iterable(split))
     if len(split) != b or {*map(len, split)} != {u} or {*map(len, cells)} != {c}:
         return False
-    ratios = list(map(methodcaller("as_integer_ratio"), chain.from_iterable(cells)))
-    nums, dens = list(map(itemgetter(0), ratios)), list(map(itemgetter(1), ratios))
-    if min(nums) < 0:
-        return False
-    # Cell k's weights of rank 0..r sum to num[k]/den[k].
-    num, den = nums[0::c], dens[0::c]
-    for r in range(1, c):
-        d = dens[r::c]
-        num = list(map(add, map(mul, num, d), map(mul, nums[r::c], den)))
-        den = list(map(mul, den, d))
-    return num == den
+    nums, den = common_denominator(chain.from_iterable(cells))
+    return min(nums) >= 0 and {*map(sum, zip(*[iter(nums)] * c))} == {den}
 
 
 @frozen
@@ -204,51 +187,3 @@ def code_from_design(
         result.params.u, design.v, design.blocks, key_dist, source_dist, split_dist
     )
 
-
-@frozen
-class EncodingMatrix:
-    """Text form of a code: one row per rule, one column per source.
-
-    Cells keep the order in which the rule stores its messages (for
-    cyclically developed rules, the translated order, e.g. {9,1}).
-    ``group_sizes`` splits the rows into visual groups, one per orbit
-    of a cyclic construction; rendering separates groups with a dashed
-    line.
-    """
-
-    rule_labels: tuple[str, ...]
-    source_labels: tuple[str, ...]
-    cells: tuple[tuple[str, ...], ...]
-    group_sizes: tuple[int, ...] = ()
-
-    def render(self) -> str:
-        breaks: set[int] = set()
-        acc = 0
-        for size in self.group_sizes[:-1]:
-            acc += size
-            breaks.add(acc)
-        lines: list[str] = []
-        for i, (label, row) in enumerate(zip(self.rule_labels, self.cells), start=1):
-            lines.append(label + " " + " ".join(row))
-            if i in breaks:
-                lines.append("---")
-        return "\n".join(lines)
-
-
-def render_matrix(
-    code: SplittingACode, group_sizes: tuple[int, ...] = ()
-) -> EncodingMatrix:
-    """Deterministic matrix form of a code, cells in stored order."""
-    if group_sizes and sum(group_sizes) != code.num_rules:
-        raise ValueError(
-            f"group sizes {group_sizes} do not sum to {code.num_rules} rules"
-        )
-    return EncodingMatrix(
-        rule_labels=tuple(f"e{subscript(i)}" for i in range(1, code.num_rules + 1)),
-        source_labels=tuple(f"s{subscript(j)}" for j in range(1, code.u + 1)),
-        cells=tuple(
-            tuple("{" + ",".join(str(m) for m in cell) + "}" for cell in rule)
-            for rule in code.rules
-        ),
-        group_sizes=group_sizes,
-    )

@@ -25,6 +25,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import islice
 
 from .construct import BaseBlockFamily, SplittingDesign, develop_cyclic, family_u2
 
@@ -217,16 +218,32 @@ def _fold_name(i: int) -> str:
     return _FOLD_NAMES[i] if 0 <= i < len(_FOLD_NAMES) else str(i)
 
 
+_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+
+
+def _matrix_rows(code: SplittingACode) -> list[tuple[str, list[str]]]:
+    """Each rule's label (e₁, e₂, …) and its cells as {m,…}, in the
+    order the rule stores them (a developed rule keeps its translated
+    order, e.g. {9,1})."""
+    return [
+        (
+            f"e{i}".translate(_SUBSCRIPTS),
+            ["{" + ",".join(map(str, cell)) + "}" for cell in rule],
+        )
+        for i, rule in enumerate(code.rules, start=1)
+    ]
+
+
 def _secrecy_failure(report: SecurityReport) -> str:
-    from .acode import subscript
     table = report.posteriors
     if table.unreachable:
         shown = ", ".join(str(m) for m in table.unreachable[:5])
         return f"messages {{{shown}}} can never be sent"
     # The first differing posterior in (message, source) order.
     m, s = min((m, s) for (s, m), post in table.entries.items() if post != table.priors[s])
+    source = f"s{s}".translate(_SUBSCRIPTS)
     return (
-        f"p(s{subscript(s)} | m={m}) = {table.entries[s, m]} differs from the "
+        f"p({source} | m={m}) = {table.entries[s, m]} differs from the "
         f"prior {table.priors[s]}"
     )
 
@@ -339,18 +356,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from .acode import render_matrix
     code = _load(args.input, _load_code)
-    matrix = render_matrix(code)
     if args.format == "json":
         _emit(_dump_json(code, *_CODE_FIELDS), args.out)
         return 0
+    sources = [f"s{j}" for j in range(1, code.u + 1)]
     if args.format == "markdown":
-        header = "| rule | " + " | ".join(matrix.source_labels) + " |"
+        header = ("| rule | " + " | ".join(sources) + " |").translate(_SUBSCRIPTS)
         ruler = "| --- |" + " --- |" * code.u
         rows = [
-            "| " + label + " | " + " | ".join(cells) + " |"
-            for label, cells in zip(matrix.rule_labels, matrix.cells)
+            "| " + " | ".join([label, *cells]) + " |" for label, cells in _matrix_rows(code)
         ]
         _emit("\n".join([header, ruler, *rows]) + "\n", args.out)
         return 0
@@ -358,23 +373,27 @@ def cmd_export(args: argparse.Namespace) -> int:
     import io
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["rule"] + [f"s{j}" for j in range(1, code.u + 1)])
-    for i, cells in enumerate(matrix.cells, start=1):
+    writer.writerow(["rule", *sources])
+    for i, (_, cells) in enumerate(_matrix_rows(code), start=1):
         writer.writerow([f"e{i}", *cells])
     _emit(buffer.getvalue(), args.out)
     return 0
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .acode import SplittingACode, render_matrix
+    from .acode import SplittingACode
     n = {"table1": 1, "table2": 2}[args.which]
     design = develop_cyclic(family_u2(2, n))
     # The report checks λ=1, so the rules need only the constructor's
     # shape check.
     code = SplittingACode(u=2, v=design.v, rules=design.blocks)
-    matrix = render_matrix(code, group_sizes=design.orbit_lengths)
+    # One group of rows per orbit, a dashed line between groups.
+    rows = iter(" ".join([label, *cells]) for label, cells in _matrix_rows(code))
+    matrix = "\n---\n".join(
+        "\n".join(islice(rows, length)) for length in design.orbit_lengths
+    )
     text, ok = _report(code, 1)
-    sys.stdout.write(matrix.render() + "\n\n" + text)
+    sys.stdout.write(matrix + "\n\n" + text)
     return 0 if ok else 1
 
 

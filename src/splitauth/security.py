@@ -20,19 +20,19 @@ equal integer ratios share one.
 
 A code whose rules are in developed form (see
 :mod:`splitauth.construct`: each run closes on its first rule cell for
-cell, so every cell keeps its source), with one key weight per run and
-no ``split_dist``, is fixed by x -> x+1 on messages: so are its
+cell, so every cell keeps its source), with equal key weights and no
+``split_dist``, is fixed by x -> x+1 on messages: so are its
 transcripts' masses, the optimal gain f(S) of each observed set S, and
-p(s, m).  Only the rules through message 1 are laid out in columns,
-over the whole code's key denominator.  Every transcript that shows
-message 1 comes from one of them, so the walk gets f(S) exact for every
-S that holds message 1, and each i-set has i members:
-Σ_S f(S) = (v/i)·Σ_{S∋1} f(S) for i >= 1.  At order 0 message 1 is as
-good as any, and p(s, 1) stands for every p(s, m).  Any other code
-takes the whole walk.  So does a code holding a short orbit whose
-closing shift permutes a rule's cells: that shift sends a message of
-one source to another source, so the orbit is not a run.  A code
-finds its runs on first use and keeps them (``SplittingACode.runs``).
+p(s, m).  Only the rules through message 1 are laid out in columns.
+Every transcript that shows message 1 comes from one of them, so the
+walk gets f(S) exact for every S that holds message 1, and each i-set
+has i members: Σ_S f(S) = (v/i)·Σ_{S∋1} f(S) for i >= 1.  At order 0
+message 1 is as good as any, and p(s, 1) stands for every p(s, m).
+Any other code takes the whole walk.  So does a code holding a short
+orbit whose closing shift permutes a rule's cells: that shift sends a
+message of one source to another source, so the orbit is not a run.  A
+code finds its runs on first use and keeps them
+(``SplittingACode.runs``).
 """
 
 from __future__ import annotations
@@ -114,9 +114,7 @@ class _Columns:
 def _columns(code: SplittingACode) -> _Columns:
     rules, keys, through_1 = code.rules, code.key_dist, False
     runs = code.runs if code.split_dist is None else None
-    if runs is not None and all(keys[a : a + n].count(keys[a]) == n for a, n in runs):
-        # Every run has a rule through message 1, so these keys have
-        # every denominator of the code's.
+    if runs is not None and keys == keys[:1] * len(keys):
         picked = construct.through_point_1(rules, code.v, runs)
         rules, keys, through_1 = [rules[e] for e in picked], [keys[e] for e in picked], True
     key, key_den = common_denominator(keys)

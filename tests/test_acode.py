@@ -12,7 +12,6 @@ from splitauth import (
     code_from_design,
     develop_cyclic,
     family_u2,
-    render_matrix,
     rule_defects,
     verify_design,
 )
@@ -196,39 +195,6 @@ class TestValidMessages:
                     for e in range(1, code.num_rules + 1)
                 )
                 assert containing == expected
-
-
-class TestRenderMatrix:
-    def test_cells_keep_stored_order(self, table1_code):
-        matrix = render_matrix(table1_code)
-        assert matrix.rule_labels[0] == "e₁"
-        assert len(matrix.rule_labels) == table1_code.num_rules
-        assert matrix.rule_labels[-1] == "e₉"
-        assert matrix.source_labels == ("s₁", "s₂")
-        assert matrix.cells[5] == ("{6,7}", "{8,1}")
-        assert matrix.cells[8] == ("{9,1}", "{2,4}")
-
-    def test_render_rows(self, table1_code):
-        text = render_matrix(table1_code).render()
-        lines = text.split("\n")
-        assert lines[0] == "e₁ {1,2} {3,5}"
-        assert len(lines) == 9
-
-    def test_group_separator(self, table2_code):
-        text = render_matrix(table2_code, group_sizes=(17, 17)).render()
-        lines = text.split("\n")
-        assert lines[17] == "---"
-        assert len(lines) == 35
-
-    def test_group_sizes_validated(self, table1_code):
-        with pytest.raises(ValueError):
-            render_matrix(table1_code, group_sizes=(4, 4))
-
-    def test_single_rule_grid(self):
-        design_rules = (((1, 2), (3, 5)),)
-        code = SplittingACode(u=2, v=9, rules=design_rules)
-        matrix = render_matrix(code)
-        assert matrix.cells == (("{1,2}", "{3,5}"),)
 
 
 class TestSplitDistCheck:

@@ -621,6 +621,24 @@ class TestExportCommand:
         assert lines[2] == "| e₁ | {1,2} | {3,5} |"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("markdown", "md")])
+    def test_tables_match_goldens(self, n, fmt, suffix, tmp_path, capsys):
+        # Table 2's rows 17 and 34 hold the wrapping cells {17,1}.
+        family, code = tmp_path / "family.json", tmp_path / "code.json"
+        out = tmp_path / f"table.{suffix}"
+        assert main(["gen-family", "2", str(n), "-o", str(family)]) == 0
+        assert main(["to-code", str(family), "-o", str(code)]) == 0
+        assert main(["export", str(code), "-f", fmt, "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == (GOLDEN / f"export_table{n}.{suffix}").read_bytes()
+
+    def test_one_rule_matches_golden(self, capsys, monkeypatch):
+        code = '{"u": 2, "v": 9, "rules": [[[1, 2], [3, 5]]]}'
+        rc, out, _ = run_cli(["export", "-", "-f", "markdown"], capsys, monkeypatch, code)
+        assert rc == 0
+        assert out == (GOLDEN / "export_one_rule.md").read_text()
+
     def test_json_round_trip(self, table1_code_file, capsys):
         rc, out, _ = run_cli(
             ["export", str(table1_code_file), "-f", "json"], capsys

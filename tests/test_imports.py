@@ -101,12 +101,11 @@ def test_analyze_loads_no_csv(artifacts):
 
 def test_exported_names_are_the_pipeline():
     assert sorted(splitauth.__all__) == [
-        "BaseBlockFamily", "Block", "DesignParams", "EncodingMatrix", "Part",
-        "PosteriorTable", "SecurityReport", "SplittingACode", "SplittingDesign",
-        "VerificationResult", "analyze", "code_from_design", "deception_bound",
-        "deception_probability", "develop_cyclic", "family_u2", "orbit_of",
-        "perfect_secrecy_check", "render_matrix", "rule_count_floor", "rule_defects",
-        "translate_block", "verify_design",
+        "BaseBlockFamily", "Block", "DesignParams", "Part", "PosteriorTable",
+        "SecurityReport", "SplittingACode", "SplittingDesign", "VerificationResult",
+        "analyze", "code_from_design", "deception_bound", "deception_probability",
+        "develop_cyclic", "family_u2", "orbit_of", "perfect_secrecy_check",
+        "rule_count_floor", "rule_defects", "translate_block", "verify_design",
     ]
 
 

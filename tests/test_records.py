@@ -14,7 +14,6 @@ import pytest
 from splitauth import (
     BaseBlockFamily,
     DesignParams,
-    EncodingMatrix,
     PosteriorTable,
     SecurityReport,
     SplittingACode,
@@ -94,14 +93,6 @@ CASES = [
         {"source_dist": (Fraction(1, 3), Fraction(2, 3))},
     ),
     Case(
-        EncodingMatrix,
-        ("rule_labels", "source_labels", "cells", "group_sizes"),
-        (("e₁",), ("s₁", "s₂"), (("{1,2}", "{3,5}"),), (1,)),
-        3,
-        {"group_sizes": ()},
-        {"group_sizes": (2,)},
-    ),
-    Case(
         PosteriorTable,
         ("priors", "message_marginals", "entries", "unreachable", "ok"),
         ({1: HALF, 2: HALF}, {1: Fraction(1, 9)}, {(1, 1): HALF}, (), True),
@@ -124,7 +115,6 @@ HASHABLE = {
     SplittingDesign,
     VerificationResult,
     SplittingACode,
-    EncodingMatrix,
 }
 
 each_case = pytest.mark.parametrize("case", CASES, ids=repr)
