@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from . import construct
+from . import construct, verify
 from ._record import frozen
 from .construct import Block, SplittingDesign
-from .verify import verify_design
 
 SplitDist = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
@@ -157,6 +156,13 @@ class SplittingACode:
         are immutable, and ``runs`` is not one of them."""
         return construct.developed_runs(self.rules, self.v)
 
+    @cached_property
+    def pair_verdict(self) -> verify.VerificationResult:
+        """The rules' verdict as a 2-splitting design, counted on first
+        use and kept like ``runs`` (u must be at least 2).  With index 1,
+        every two messages lie in distinct cells of exactly one rule."""
+        return verify._verify_shaped(self.rules, self.v, self.runs, 2, self.c, self.u)
+
 
 def code_from_design(
     design: SplittingDesign,
@@ -172,7 +178,7 @@ def code_from_design(
     security guarantees downstream depend on exactly that structure.
     Distributions default to uniform.
     """
-    result = verify_design(design, 2)
+    result = verify.verify_design(design, 2)
     if not result.ok or result.params is None:
         raise ValueError(
             "design does not verify as a 2-splitting design: "
@@ -183,7 +189,10 @@ def code_from_design(
             f"design has index {result.params.lam}, need exactly 1 "
             "for an encoding-rule set"
         )
-    return SplittingACode._on_checked_rules(
+    code = SplittingACode._on_checked_rules(
         result.params.u, design.v, design.blocks, key_dist, source_dist, split_dist
     )
+    # The rules are the design's blocks: hand over what was found on them.
+    code.__dict__.update(runs=design.runs, pair_verdict=result)
+    return code
 

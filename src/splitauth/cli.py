@@ -255,8 +255,12 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
     from .security import analyze, rule_count_floor
     from .verify import _verify_shaped
     # The rules' shape is checked already, so the design verdict needs
-    # only the count of the covered (i_max+1)-subsets.
-    design_result = _verify_shaped(code.rules, code.v, code.runs, i_max + 1, code.c, code.u)
+    # only the count of the covered (i_max+1)-subsets; the code keeps
+    # its count of pairs, which security reads too.
+    if i_max == 1:
+        design_result = code.pair_verdict
+    else:
+        design_result = _verify_shaped(code.rules, code.v, code.runs, i_max + 1, code.c, code.u)
     try:
         report = analyze(code, i_max)
     except ValueError as exc:

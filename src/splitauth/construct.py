@@ -24,6 +24,7 @@ picks the blocks through point 1.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, islice
 
 from ._record import frozen
@@ -121,7 +122,8 @@ class SplittingDesign:
 
     The fields are treated as immutable, blocks and parts included:
     ``verify_design`` keeps its result on the design, and
-    ``code_from_design`` builds rules from the blocks it checked.
+    ``code_from_design`` builds rules from the blocks it checked and
+    hands the code this design's ``runs``.
     """
 
     v: int
@@ -138,6 +140,12 @@ class SplittingDesign:
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def runs(self) -> list[tuple[int, int]] | None:
+        """The blocks' :func:`developed_runs`, found on first use and kept
+        (not a field, so equality, hash and repr do not see it)."""
+        return developed_runs(self.blocks, self.v)
 
 
 def translate_block(block: Block, j: int, v: int) -> Block:

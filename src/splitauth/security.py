@@ -18,17 +18,29 @@ posteriors come from the same columns, per source and message.  Masses
 add up as ints, each reported probability is one ``Fraction``, and
 equal integer ratios share one.
 
+A code whose rules form a 2-splitting design of index 1, as every
+code of ``code_from_design`` does, needs no walk past order 0: every
+two messages lie in distinct cells of exactly one rule.  So the
+transcripts that show one message m have disjoint targets, and the best
+spoof after seeing m gains the largest mass of a transcript showing m:
+order 1 is b·u·c mass comparisons.  Any i >= 2 messages are shown by one
+transcript only, so order i is exactly 1 for 2 <= i < u.  The verdict
+is the code's ``pair_verdict``: handed over by ``code_from_design``,
+otherwise counted once on first use, at most b·C(u,2)·c² covered pairs
+(half the gain updates of the order-1 walk).
+
 A code whose rules are in developed form (see
 :mod:`splitauth.construct`: each run closes on its first rule cell for
 cell, so every cell keeps its source), with equal key weights and no
 ``split_dist``, is fixed by x -> x+1 on messages: so are its
 transcripts' masses, the optimal gain f(S) of each observed set S, and
 p(s, m).  Only the rules through message 1 are laid out in columns.
-Every transcript that shows message 1 comes from one of them, so the
-walk gets f(S) exact for every S that holds message 1, and each i-set
+Every transcript that shows message 1 comes from one of them, so
+f(S) comes out exact for every S that holds message 1, and each i-set
 has i members: Σ_S f(S) = (v/i)·Σ_{S∋1} f(S) for i >= 1.  At order 0
 message 1 is as good as any, and p(s, 1) stands for every p(s, m).
-Any other code takes the whole walk.  So does a code holding a short
+Any other code takes the whole walk (or, past order 0, none if its
+rules have index 1).  So does a code holding a short
 orbit whose closing shift permutes a rule's cells: that shift sends a
 message of one source to another source, so the orbit is not a run.  A
 code finds its runs on first use and keeps them
@@ -113,11 +125,15 @@ class _Columns:
 
 def _columns(code: SplittingACode) -> _Columns:
     rules, keys, through_1 = code.rules, code.key_dist, False
+    # One key weight repeated (the uniform default) is scaled once.
+    uniform = keys == keys[:1] * len(keys)
     runs = code.runs if code.split_dist is None else None
-    if runs is not None and keys == keys[:1] * len(keys):
-        picked = construct.through_point_1(rules, code.v, runs)
-        rules, keys, through_1 = [rules[e] for e in picked], [keys[e] for e in picked], True
-    key, key_den = common_denominator(keys)
+    if runs is not None and uniform:
+        rules = [rules[e] for e in construct.through_point_1(rules, code.v, runs)]
+        through_1 = True
+    key, key_den = common_denominator(keys[:1] if uniform else keys)
+    if uniform:
+        key *= len(rules)
     source, source_den = common_denominator(code.source_dist)
     u, c = code.u, code.c
     messages = tuple(
@@ -210,6 +226,55 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     over key_den·e_i·split_den^i, where e_i, the sum of those products
     over all i-subsets, follows from e_j += e_(j-1)·w over the weights w.
 
+    When the rules form a 2-splitting design of index 1
+    (``code.pair_verdict``), the transcripts that show one message have
+    pairwise disjoint targets, so f({m}) is the largest mass of a
+    transcript that shows m: order 1 takes b·u·c mass comparisons, with
+    one dict of the best mass per message.  Every set of i >= 2 messages
+    is shown by one transcript only, whose mass is then its f(S), so the
+    masses of all transcripts add up to the whole denominator and order
+    i is exactly 1.  Every other code takes :func:`_walk`.  Columns of
+    the rules through message 1 give f(S) for the sets that hold it, and
+    their sum is taken v/i times (see the module docstring).
+    """
+    sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
+    for w in cols.source:
+        for j in range(i, 0, -1):
+            sums[j] += sums[j - 1] * w
+    if sums[i] == 0:
+        raise ValueError(f"no {i}-subset of sources has positive probability")
+    if i == code.u:
+        return Fraction(0)  # no unseen cell is left to spoof
+    params = code.pair_verdict.params if i else None
+    if params is not None and params.lam == 1:
+        if i > 1:
+            return Fraction(1)  # one transcript shows each observed set
+        best = _heaviest(cols)
+        total = best.get(1, 0) if cols.through_1 else sum(best.values())
+    else:
+        total = _walk(code, cols, i)
+    den = cols.key_den * sums[i] * cols.split_den**i
+    if cols.through_1 and i:  # Σ_S f(S) = (v/i)·Σ_{S∋1} f(S)
+        return Fraction(total * code.v, den * i)
+    return Fraction(total, den)
+
+
+def _heaviest(cols: _Columns) -> dict[int, int]:
+    """The largest mass of an order-1 transcript that shows each message
+    (messages no transcript of positive mass shows are left out)."""
+    best: dict[int, int] = {}
+    for columns, weights in zip(cols.messages, cols.weights):
+        for ms, ws in zip(columns, weights):
+            for m, w in zip(ms, map(mul, cols.key, ws)):
+                if w > best.get(m, 0):
+                    best[m] = w
+    return best
+
+
+def _walk(code: SplittingACode, cols: _Columns, i: int) -> int:
+    """Σ_S f(S) over the observed i-sets S of any code, 0 <= i < u, as
+    integers over the denominator of :func:`_deception`.
+
     The sources are walked in order, each observed or left unseen.  An
     observed source multiplies each transcript's mass column by the
     weight column of each rank of its cell, once per prefix of the walk,
@@ -220,18 +285,9 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     one gain dict per distinct observed set, keyed by its sorted
     messages; that, not the columns, is what grows with i.  Columns of
     the rules through message 1 add only the transcripts whose observed
-    set holds it, so ``success`` holds only those sets, and their sum is
-    taken v/i times (see the module docstring).
+    set holds it, so ``success`` holds only those sets.
     """
     u = code.u
-    sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
-    for w in cols.source:
-        for j in range(i, 0, -1):
-            sums[j] += sums[j - 1] * w
-    if sums[i] == 0:
-        raise ValueError(f"no {i}-subset of sources has positive probability")
-    if i == u:
-        return Fraction(0)  # no unseen cell is left to spoof
     success = defaultdict(dict)  # sorted observed messages -> message -> gain
     # (next source, sources left to observe, (observed message columns,
     # mass column) per choice of ranks, unseen message columns)
@@ -263,11 +319,7 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
                     gains = success[seen]
                     for m in row:
                         gains[m] = gains.get(m, 0) + mass
-    den = cols.key_den * sums[i] * cols.split_den**i
-    total = sum(max(gains.values()) for gains in success.values())
-    if cols.through_1 and i:  # Σ_S f(S) = (v/i)·Σ_{S∋1} f(S)
-        return Fraction(total * code.v, den * i)
-    return Fraction(total, den)
+    return sum(max(gains.values()) for gains in success.values())
 
 
 def deception_probability(code: SplittingACode, i: int) -> Fraction:
@@ -276,8 +328,10 @@ def deception_probability(code: SplittingACode, i: int) -> Fraction:
     Enumerates every transcript the opponent can observe (rule, i
     observed sources, message choice per source), then lets the
     opponent pick, per transcript, the unobserved message with the
-    highest probability of being accepted as a *new* source; see the
-    module docstring for the cost.
+    highest probability of being accepted as a *new* source.  That walk
+    costs b·C(u,i)·c^i·(u-i)·c gain updates; when the rules have index
+    1, order 1 costs b·u·c mass comparisons and orders 2..u-1 are 1
+    with no walk (see the module docstring).
     """
     if not 0 <= i <= code.u:
         raise ValueError(f"spoofing order i={i} out of range 0..{code.u}")

@@ -106,8 +106,7 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     known = design.__dict__.setdefault("_verified", {})
     if t in known:
         return known[t]
-    blocks, v = design.blocks, design.v
-    runs = construct.developed_runs(blocks, v)
+    blocks, v, runs = design.blocks, design.v, design.runs
     # A developed list is well-shaped when its run-first blocks are (see
     # the module docstring); defects are named by walking every block.
     firsts = blocks if runs is None else [blocks[a] for a, _ in runs]

@@ -775,7 +775,10 @@ class TestOrbitPathCost:
                 kept.append(self)
 
         monkeypatch.setattr(splitauth.security, "defaultdict", Recording)
-        code = SplittingACode(u=family.u, v=family.v, rules=develop_cyclic(family).blocks)
+        # every run twice: still developed, but of index 2, so walked
+        rules = develop_cyclic(family).blocks * 2
+        code = SplittingACode(u=family.u, v=family.v, rules=rules)
+        assert splitauth.security._columns(code).through_1
         assert deception_probability(code, i) == expected
         (success,) = kept
         assert success and all((seen if i == 1 else seen[0]) == 1 for seen in success)
@@ -837,3 +840,222 @@ class TestSharedPosteriors:
         # the same entries in the same order: by message, then source
         table = perfect_secrecy_check(code)
         assert repr(table) == repr(reference.perfect_secrecy_check(code))
+
+
+# --- index 1: the heaviest transcript per message, and 1 past order 1 ---
+
+# Index-1 designs small enough for the reference: family_u2 rungs of
+# u = 2 and c = 1..3, and the u = 3 and u = 4 fixtures
+_INDEX_1 = (
+    family_u2(2, 1),
+    family_u2(2, 2),
+    family_u2(1, 3),
+    family_u2(3, 1),
+    BaseBlockFamily(v=7, u=3, c=1, base_blocks=(((1,), (2,), (4,)),)),
+    BaseBlockFamily(v=13, u=4, c=1, base_blocks=(((1,), (2,), (4,), (10,)),)),
+    _THREE_SOURCES,
+)
+
+
+def _relabel(rules, v: int, seed: int):
+    image = [0] + random.Random(seed).sample(range(1, v + 1), v)
+    return tuple(tuple(tuple(image[x] for x in part) for part in rule) for rule in rules)
+
+
+def _twice(items) -> tuple:
+    """Each item twice in a row."""
+    return tuple(chain.from_iterable(zip(items, items)))
+
+
+@st.composite
+def index_1_codes(draw) -> SplittingACode:
+    """Developments of the index-1 fixtures, with points relabeled or
+    not, with uniform or drawn key, source and split weights (zeros
+    allowed), made by ``code_from_design`` or by the constructor."""
+    family = draw(st.sampled_from(_INDEX_1))
+    rules = develop_cyclic(family).blocks
+    if draw(st.booleans()):
+        rules = _relabel(rules, family.v, draw(st.integers(0, 2**32)))
+    u, c = family.u, family.c
+    dists = {
+        "key_dist": draw(_weights_or_uniform(len(rules))),
+        "source_dist": draw(_weights_or_uniform(u)),
+    }
+    if draw(st.booleans()):
+        dists["split_dist"] = tuple(
+            tuple(draw(_weights(c)) for _ in range(u)) for _ in rules
+        )
+    if draw(st.booleans()):
+        return code_from_design(SplittingDesign(v=family.v, blocks=rules), **dists)
+    return SplittingACode(u=u, v=family.v, rules=rules, **dists)
+
+
+def _recorded_gain_walks(monkeypatch) -> list:
+    """The gain dicts of :func:`splitauth.security._walk` made from now on,
+    one per walk."""
+    kept = []
+
+    class Recording(defaultdict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    monkeypatch.setattr(splitauth.security, "defaultdict", Recording)
+    return kept
+
+
+class TestIndexOne:
+    """Codes whose rules form a 2-splitting design of index 1 skip the
+    gain walk at orders >= 1, and still equal the reference."""
+
+    @given(code=index_1_codes())
+    @settings(max_examples=120, deadline=None)
+    def test_every_order(self, code):
+        assert code.pair_verdict.params.lam == 1
+        for i in range(code.u + 1):
+            assert outcome(deception_probability, code, i) == outcome(
+                reference.deception_probability, code, i
+            )
+        i_max = code.u - 1
+        assert outcome(analyze, code, i_max) == outcome(reference.analyze, code, i_max)
+
+    @pytest.mark.parametrize(
+        "source_dist",
+        [(), (Fraction(0), Fraction(1, 3), Fraction(2, 3))],
+        ids=["uniform", "one-silent-source"],
+    )
+    def test_three_sources_with_zero_weights(self, source_dist):
+        rules = _relabel(develop_cyclic(_THREE_SOURCES).blocks, 25, 3)
+        rng = random.Random(3)
+        keys = [rng.randint(0, 3) for _ in rules]
+        keys[0] = 0  # a rule never used
+        total = sum(keys)
+        code = SplittingACode(
+            u=3,
+            v=25,
+            rules=rules,
+            key_dist=tuple(Fraction(k, total) for k in keys),
+            source_dist=source_dist,
+            split_dist=tuple(
+                tuple((Fraction(k, 3), Fraction(3 - k, 3)) for k in (0, 1, 2)) for _ in rules
+            ),
+        )
+        for i in range(4):
+            assert outcome(deception_probability, code, i) == outcome(
+                reference.deception_probability, code, i
+            )
+        assert analyze(code, 2) == reference.analyze(code, 2)
+        assert analyze(code, 2).deception[2] == 1
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("miss", ["doubled", "dropped", "added"])
+    @pytest.mark.parametrize(
+        "family", [family_u2(2, 2), _INDEX_1[4], _THREE_SOURCES], ids=["c2n2", "731", "2532"]
+    )
+    def test_near_misses_take_the_walk(self, family, miss, weighted, monkeypatch):
+        rules = develop_cyclic(family).blocks
+        if miss == "doubled":  # every rule twice: λ = 2
+            rules = rules * 2
+        elif miss == "dropped":
+            rules = rules[:3] + rules[4:]
+        else:  # the first rule again with its cells in reverse source order
+            rules = rules + (rules[0][::-1],)
+        dists = {}
+        if weighted:
+            rng = random.Random(len(rules))
+            dists = {
+                "key_dist": _normalize([rng.randint(0, 4) or 1 for _ in rules]),
+                "source_dist": _normalize([rng.randint(0, 4) or 1 for _ in range(family.u)]),
+                "split_dist": tuple(
+                    tuple(_normalize([rng.randint(1, 4) for _ in range(family.c)])
+                          for _ in range(family.u))
+                    for _ in rules
+                ),
+            }
+        code = SplittingACode(u=family.u, v=family.v, rules=rules, **dists)
+        params = code.pair_verdict.params
+        assert params is None or params.lam != 1
+        kept = _recorded_gain_walks(monkeypatch)
+        for i in range(family.u):
+            assert deception_probability(code, i) == reference.deception_probability(code, i)
+        assert len(kept) == family.u  # one walk per order
+        assert analyze(code, family.u - 1) == reference.analyze(code, family.u - 1)
+
+    def test_orders_past_one_are_one(self):
+        # (13, 4, 1): orders 2 and 3 are far above their floors 2/11, 1/10
+        code = code_from_design(develop_cyclic(_INDEX_1[5]))
+        report = analyze(code, 3)
+        assert report.deception == {
+            0: Fraction(4, 13), 1: Fraction(1, 4), 2: Fraction(1), 3: Fraction(1)
+        }
+        assert report == reference.analyze(code, 3)
+
+
+class TestDuplicateAndHalve:
+    """A code and its twin with every rule duplicated at half the key
+    weight have the same deception; on an index-1 code the twin has
+    λ = 2, so the twin is walked and the code is not."""
+
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=2, deadline=None)
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_ladder(self, n, weighted, seed):
+        design = develop_cyclic(family_u2(2, n))
+        rng = random.Random(seed)
+        rules, dists = design.blocks, {}
+        if weighted:
+            rules = _relabel(rules, design.v, seed)
+            dists = {
+                "key_dist": _normalize([rng.randint(0, 9) for _ in rules[:-1]] + [1]),
+                "source_dist": _normalize([rng.randint(0, 3), 1]),
+                "split_dist": tuple(
+                    tuple(_normalize([rng.randint(1, 9), rng.randint(1, 9)]) for _ in rule)
+                    for rule in rules
+                ),
+            }
+        code = code_from_design(SplittingDesign(v=design.v, blocks=rules), **dists)
+        # every rule twice in a row, each copy at half its key weight and
+        # with its rule's split weights
+        twin = SplittingACode(
+            u=2,
+            v=design.v,
+            rules=_twice(rules),
+            key_dist=_twice([k / 2 for k in code.key_dist]),
+            source_dist=code.source_dist,
+            split_dist=code.split_dist and _twice(code.split_dist),
+        )
+        assert code.pair_verdict.params.lam == 1 and twin.pair_verdict.params.lam == 2
+        for i in (0, 1):
+            assert deception_probability(twin, i) == deception_probability(code, i)
+
+
+class TestIndexOneCost:
+    def test_order_1_builds_no_gain_dict(self, covered, monkeypatch):
+        kept = _recorded_gain_walks(monkeypatch)
+        for family in (family_u2(2, 4), _THREE_SOURCES):
+            rules = _relabel(develop_cyclic(family).blocks, family.v, 1)
+            code = SplittingACode(u=family.u, v=family.v, rules=rules)
+            for i in range(1, family.u):
+                deception_probability(code, i)
+            analyze(code, family.u - 1)
+            perfect_secrecy_check(code)
+            assert len(kept) == 1  # order 0 of analyze
+            kept.clear()
+        # the pairs counted once per code, over all its rules
+        assert covered == [(len(develop_cyclic(family_u2(2, 4)).blocks), 2), (25, 2)]
+
+    def test_code_from_design_hands_over_its_counts(self, covered, monkeypatch):
+        searched = []
+        search = splitauth.construct.developed_runs
+        monkeypatch.setattr(
+            splitauth.construct,
+            "developed_runs",
+            lambda *a: searched.append(len(a[0])) or search(*a),
+        )
+        code = code_from_design(develop_cyclic(family_u2(2, 32)))
+        analyze(code, 1)
+        assert searched == [8224]  # one search, for the design and the code
+        assert covered == [(128, 2)]  # the 128 of 8,224 blocks through point 1
+        plain = SplittingACode(u=2, v=257, rules=code.rules)
+        assert plain == code and repr(plain) == repr(code) and hash(plain) == hash(code)
