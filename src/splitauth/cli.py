@@ -14,7 +14,13 @@ JSON, is not an object, breaks the schema or fails a constructor's check
 is malformed input.  ``_dump_json`` writes each artifact as one line,
 leaving out ``orbit_lengths`` and ``split_dist`` when empty.
 
-Exit codes: 0 = all checks pass, 1 = a verification or security claim
+Every verdict is a claim, a (holds, line) pair.  ``_verdict`` is the one
+writer of claims: it writes their lines, then PASS when all of them hold
+or FAIL, and returns the exit code.  A report command (``verify``,
+``analyze``) writes its report where ``-o`` points, FAIL or not; the
+others write FAIL lines on stdout and no artifact.
+
+Exit codes: 0 = all claims hold, 1 = a verification or security claim
 fails, 2 = malformed input or running out of memory, with one
 ``error:`` line on stderr.  All output is deterministic.
 """
@@ -43,11 +49,7 @@ class _InputError(Exception):
 
 
 class _ClaimError(Exception):
-    """A verification or security claim failed; carries report lines."""
-
-    def __init__(self, lines: list[str]):
-        super().__init__("\n".join(lines))
-        self.lines = lines
+    """A verification claim failed; its args are the failed claims' lines."""
 
 
 def _load(path: str, build):
@@ -190,7 +192,7 @@ def _load_code(obj: dict, where: str) -> SplittingACode:
         )
     defects = rule_defects(rules, v, u)
     if defects:
-        raise _ClaimError([f"structure: FAIL ({d})" for d in defects])
+        raise _ClaimError(*(f"structure: FAIL ({d})" for d in defects))
     return SplittingACode._on_checked_rules(
         u, v, rules, key_dist, source_dist, split_dist
     )
@@ -248,10 +250,19 @@ def _secrecy_failure(report: SecurityReport) -> str:
     )
 
 
-def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
-    """Claim-by-claim report on orders 0..i_max, ending in PASS or FAIL,
-    and the overall verdict.  The code's rules must already be free of
-    structural defects."""
+def _verdict(claims: list[tuple[bool, str]], out: str | None = None) -> int:
+    """Write each claim's line, then PASS if every claim holds or FAIL,
+    and return the exit code: 0 or 1."""
+    ok = all(holds for holds, _ in claims)
+    lines = [line for _, line in claims] + ["PASS" if ok else "FAIL"]
+    _emit("\n".join(lines) + "\n", out)
+    return 0 if ok else 1
+
+
+def _report(code: SplittingACode, i_max: int) -> list[tuple[bool, str]]:
+    """The claims on orders 0..i_max, one (holds, line) pair per report
+    line; a line that claims nothing holds.  The code's rules must
+    already be free of structural defects."""
     from .security import analyze, rule_count_floor
     from .verify import _verify_shaped
     # The rules' shape is checked already, so the design verdict needs
@@ -265,10 +276,9 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
         report = analyze(code, i_max)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    # One (holds, line) pair per report line; a line that claims nothing holds.
     claims: list[tuple[bool, str]] = []
     params = design_result.params
-    if design_result.ok and params is not None:
+    if design_result.ok:
         claims.append((True, f"rules form a splitting design: {params}, λ={params.lam}"))
         if params.lam != 1:
             claims.append((False, f"λ-uniformity: FAIL (index λ={params.lam}, need 1)"))
@@ -295,9 +305,7 @@ def _report(code: SplittingACode, i_max: int) -> tuple[str, bool]:
         claims.append((True, "perfect secrecy"))
     else:
         claims.append((False, f"perfect secrecy: FAIL ({_secrecy_failure(report)})"))
-    ok = all(holds for holds, _ in claims)
-    lines = [line for _, line in claims] + ["PASS" if ok else "FAIL"]
-    return "\n".join(lines) + "\n", ok
+    return claims
 
 
 def cmd_gen_family(args: argparse.Namespace) -> int:
@@ -329,10 +337,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         result = verify_design(design, t)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    if result.ok and result.params is not None:
+    if result.ok:
         _emit(f"{result.params}, λ={result.params.lam}\n", args.out)
         return 0
-    raise _ClaimError([f"defect: {d}" for d in result.defects])
+    raise _ClaimError(*(f"defect: {d}" for d in result.defects))
 
 
 def cmd_to_code(args: argparse.Namespace) -> int:
@@ -341,7 +349,7 @@ def cmd_to_code(args: argparse.Namespace) -> int:
     try:
         code = code_from_design(design)
     except ValueError as exc:
-        raise _ClaimError([str(exc)]) from exc
+        raise _ClaimError(str(exc)) from exc
     _emit(_dump_json(code, *_CODE_FIELDS), args.out)
     return 0
 
@@ -354,9 +362,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"--orders {i_max} out of range 0..{code.u - 1} for u={code.u} sources"
         )
     # _load_code has checked the rules' structure already.
-    text, ok = _report(code, i_max)
-    _emit(text, args.out)
-    return 0 if ok else 1
+    return _verdict(_report(code, i_max), args.out)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -385,20 +391,18 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .acode import SplittingACode
+    from .acode import code_from_design
     n = {"table1": 1, "table2": 2}[args.which]
     design = develop_cyclic(family_u2(2, n))
-    # The report checks λ=1, so the rules need only the constructor's
-    # shape check.
-    code = SplittingACode(u=2, v=design.v, rules=design.blocks)
+    # The verified design hands its runs and pair verdict to the code.
+    code = code_from_design(design)
     # One group of rows per orbit, a dashed line between groups.
     rows = iter(" ".join([label, *cells]) for label, cells in _matrix_rows(code))
     matrix = "\n---\n".join(
         "\n".join(islice(rows, length)) for length in design.orbit_lengths
     )
-    text, ok = _report(code, 1)
-    sys.stdout.write(matrix + "\n\n" + text)
-    return 0 if ok else 1
+    sys.stdout.write(matrix + "\n\n")
+    return _verdict(_report(code, 1))
 
 
 # The subcommands: name, help, handler, the kind of JSON its input
@@ -431,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     parsers = {}
-    for name, summary, func, kind, _ in _COMMANDS:
+    for name, summary, func, kind, noun in _COMMANDS:
         parsers[name] = sub.add_parser(name, help=summary)
-        parsers[name].set_defaults(func=func)
+        parsers[name].set_defaults(func=func, report=noun == "report")
         if kind is not None:
             parsers[name].add_argument("input", help=f"{kind} JSON path, or - for stdin")
     # Each command's own arguments come before -o, as in its usage line.
@@ -468,13 +472,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _ClaimError as exc:
-        print("\n".join(exc.lines + ["FAIL"]))
-        return 1
-    except (_InputError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        try:
+            return args.func(args)
+        except _ClaimError as exc:
+            # A report command writes its FAIL report where -o points.
+            out = args.out if args.report else None
+            return _verdict([(False, line) for line in exc.args], out)
+    except _InputError as exc:
+        message = str(exc)
+    # A size past the address space raises OverflowError, not MemoryError.
+    except (MemoryError, OverflowError):
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

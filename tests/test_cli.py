@@ -591,7 +591,7 @@ class TestShapeCheckedOnce:
     def test_demo(self, checked, counted, capsys):
         rc, _, _ = run_cli(["demo", "table1"], capsys)
         assert rc == 0
-        assert checked == [1, 9]  # the family's one base block, then the rules
+        assert checked == [1, 1]  # the family's base block, then the design's run-first block
         assert counted == [9]
 
     def test_public_constructor_still_checks(self, table1_code, checked):
