@@ -150,18 +150,17 @@ class SplittingACode:
         return len(self.rules[0][0])
 
     @cached_property
-    def runs(self) -> list[tuple[int, int]] | None:
-        """The rules' :func:`construct.developed_runs`, found on first use
-        and kept, like ``verify_design``'s result on a design: the fields
-        are immutable, and ``runs`` is not one of them."""
-        return construct.developed_runs(self.rules, self.v)
-
-    @cached_property
-    def pair_verdict(self) -> verify.VerificationResult:
-        """The rules' verdict as a 2-splitting design, counted on first
-        use and kept like ``runs`` (u must be at least 2).  With index 1,
-        every two messages lie in distinct cells of exactly one rule."""
-        return verify._verify_shaped(self.rules, self.v, self.runs, 2, self.c, self.u)
+    def design(self) -> SplittingDesign:
+        """The rules as a splitting design, kept with its ``runs``, its
+        shape and each strength's :func:`verify.verify_design` verdict:
+        the design ``code_from_design`` verified, otherwise one made on
+        first use.  The fields are immutable, and ``design`` is not one
+        of them.  With index 1 at strength 2, every two messages lie in
+        distinct cells of exactly one rule."""
+        design = SplittingDesign(self.v, self.rules)
+        # The rules passed rule_defects with this u: no shape walk is needed.
+        design.__dict__["shape"] = ([], self.c, self.u)
+        return design
 
 
 def code_from_design(
@@ -193,6 +192,6 @@ def code_from_design(
         result.params.u, design.v, design.blocks, key_dist, source_dist, split_dist
     )
     # The rules are the design's blocks: hand over what was found on them.
-    code.__dict__.update(runs=design.runs, pair_verdict=result)
+    code.__dict__["design"] = design
     return code
 

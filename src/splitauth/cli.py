@@ -264,14 +264,9 @@ def _report(code: SplittingACode, i_max: int) -> list[tuple[bool, str]]:
     line; a line that claims nothing holds.  The code's rules must
     already be free of structural defects."""
     from .security import analyze, rule_count_floor
-    from .verify import _verify_shaped
-    # The rules' shape is checked already, so the design verdict needs
-    # only the count of the covered (i_max+1)-subsets; the code keeps
-    # its count of pairs, which security reads too.
-    if i_max == 1:
-        design_result = code.pair_verdict
-    else:
-        design_result = _verify_shaped(code.rules, code.v, code.runs, i_max + 1, code.c, code.u)
+    from .verify import verify_design
+    # The code's design keeps each verdict, which security reads too.
+    design_result = verify_design(code.design, i_max + 1)
     try:
         report = analyze(code, i_max)
     except ValueError as exc:
@@ -394,7 +389,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from .acode import code_from_design
     n = {"table1": 1, "table2": 2}[args.which]
     design = develop_cyclic(family_u2(2, n))
-    # The verified design hands its runs and pair verdict to the code.
+    # The verified design becomes the code's design, verdict and all.
     code = code_from_design(design)
     # One group of rows per orbit, a dashed line between groups.
     rows = iter(" ".join([label, *cells]) for label, cells in _matrix_rows(code))

@@ -121,9 +121,9 @@ class SplittingDesign:
     base-block order, when the design came from cyclic development.
 
     The fields are treated as immutable, blocks and parts included:
-    ``verify_design`` keeps its result on the design, and
-    ``code_from_design`` builds rules from the blocks it checked and
-    hands the code this design's ``runs``.
+    ``runs`` and ``shape`` are found once and kept, ``verify_design``
+    keeps its result per strength, and ``code_from_design`` hands the
+    design it checked to its code as the code's ``design``.
     """
 
     v: int
@@ -146,6 +146,19 @@ class SplittingDesign:
         """The blocks' :func:`developed_runs`, found on first use and kept
         (not a field, so equality, hash and repr do not see it)."""
         return developed_runs(self.blocks, self.v)
+
+    @cached_property
+    def shape(self) -> tuple[list[str], int, int]:
+        """The blocks' :func:`_shape_defects` and (c, u), found on first
+        use and kept like ``runs``.  A list in developed form is checked
+        by the first block of each run (see the module docstring); when
+        those have a defect, or the list is in no such form, every block
+        is, so each defect keeps its text and index."""
+        blocks, runs = self.blocks, self.runs
+        shape = _shape_defects(blocks if runs is None else [blocks[a] for a, _ in runs], self.v)
+        if shape[0] and runs:
+            shape = _shape_defects(blocks, self.v)
+        return shape
 
 
 def translate_block(block: Block, j: int, v: int) -> Block:

@@ -25,9 +25,9 @@ transcripts that show one message m have disjoint targets, and the best
 spoof after seeing m gains the largest mass of a transcript showing m:
 order 1 is b·u·c mass comparisons.  Any i >= 2 messages are shown by one
 transcript only, so order i is exactly 1 for 2 <= i < u.  The verdict
-is the code's ``pair_verdict``: handed over by ``code_from_design``,
-otherwise counted once on first use, at most b·C(u,2)·c² covered pairs
-(half the gain updates of the order-1 walk).
+is the strength-2 one kept on the code's ``design``: counted by
+``code_from_design``, otherwise once on first use, at most b·C(u,2)·c²
+covered pairs (half the gain updates of the order-1 walk).
 
 A code whose rules are in developed form (see
 :mod:`splitauth.construct`: each run closes on its first rule cell for
@@ -43,8 +43,7 @@ Any other code takes the whole walk (or, past order 0, none if its
 rules have index 1).  So does a code holding a short
 orbit whose closing shift permutes a rule's cells: that shift sends a
 message of one source to another source, so the orbit is not a run.  A
-code finds its runs on first use and keeps them
-(``SplittingACode.runs``).
+code's runs are its design's, found once (``code.design.runs``).
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from operator import contains, eq, itemgetter, mul
 from . import construct
 from ._record import frozen
 from .acode import SplittingACode, common_denominator
+from .verify import verify_design
 
 
 @frozen
@@ -127,7 +127,7 @@ def _columns(code: SplittingACode) -> _Columns:
     rules, keys, through_1 = code.rules, code.key_dist, False
     # One key weight repeated (the uniform default) is scaled once.
     uniform = keys == keys[:1] * len(keys)
-    runs = code.runs if code.split_dist is None else None
+    runs = code.design.runs if code.split_dist is None else None
     if runs is not None and uniform:
         rules = [rules[e] for e in construct.through_point_1(rules, code.v, runs)]
         through_1 = True
@@ -227,15 +227,16 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
     over all i-subsets, follows from e_j += e_(j-1)·w over the weights w.
 
     When the rules form a 2-splitting design of index 1
-    (``code.pair_verdict``), the transcripts that show one message have
-    pairwise disjoint targets, so f({m}) is the largest mass of a
-    transcript that shows m: order 1 takes b·u·c mass comparisons, with
-    one dict of the best mass per message.  Every set of i >= 2 messages
-    is shown by one transcript only, whose mass is then its f(S), so the
-    masses of all transcripts add up to the whole denominator and order
-    i is exactly 1.  Every other code takes :func:`_walk`.  Columns of
-    the rules through message 1 give f(S) for the sets that hold it, and
-    their sum is taken v/i times (see the module docstring).
+    (``verify_design(code.design, 2)``), the transcripts that show one
+    message have pairwise disjoint targets, so f({m}) is the largest
+    mass of a transcript that shows m: order 1 takes b·u·c mass
+    comparisons, with one dict of the best mass per message.  Every set
+    of i >= 2 messages is shown by one transcript only, whose mass is
+    then its f(S), so the masses of all transcripts add up to the whole
+    denominator and order i is exactly 1.  Every other code takes
+    :func:`_walk`.  Columns of the rules through message 1 give f(S) for
+    the sets that hold it, and their sum is taken v/i times (see the
+    module docstring).
     """
     sums = [1] + [0] * i  # sums[j]: e_j of the source weights read so far
     for w in cols.source:
@@ -245,7 +246,7 @@ def _deception(code: SplittingACode, cols: _Columns, i: int) -> Fraction:
         raise ValueError(f"no {i}-subset of sources has positive probability")
     if i == code.u:
         return Fraction(0)  # no unseen cell is left to spoof
-    params = code.pair_verdict.params if i else None
+    params = verify_design(code.design, 2).params if i else None
     if params is not None and params.lam == 1:
         if i > 1:
             return Fraction(1)  # one transcript shows each observed set

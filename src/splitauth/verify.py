@@ -7,13 +7,15 @@ and share one count.  A block covers a t-subset when each of
 its points lies in some part of the block and those parts are pairwise
 distinct; two points inside the same part are not covered by it.
 
-A block list in developed form (see :mod:`splitauth.construct`) is
-told once, before anything else, and then shape-checked by the first
-block of each run: every other block is a translate of its run's
-first, point for point, and translation by j is a bijection of 1..v,
-so it keeps part count, part size and disjointness.  Any other list,
-and a developed one whose run-first blocks have a defect, is checked
-block by block, so every defect keeps its text and index.
+A design is shape-checked once for every strength
+(``SplittingDesign.shape``).  A block list in developed form (see
+:mod:`splitauth.construct`) is told once, before anything else, and
+then shape-checked by the first block of each run: every other block is
+a translate of its run's first, point for point, and translation by j
+is a bijection of 1..v, so it keeps part count, part size and
+disjointness.  Any other list, and a developed one whose run-first
+blocks have a defect, is checked block by block, so every defect keeps
+its text and index.
 
 A well-shaped list in developed form is counted through point 1 only.
 Every t-subset has a translate through point 1 that as many blocks
@@ -96,9 +98,11 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     covered and requires one common value lambda >= 1.  The verified
     parameters (t, v, b, c, u, lambda) are returned on success.
 
-    The result is kept on the design per t, so asking the same design
-    again returns it without counting; an equal but distinct design is
-    counted afresh.  A t outside 1..u raises on every call.
+    The design's shape is checked once for all strengths
+    (``design.shape``), and the result is kept on the design per t, so
+    asking the same design again returns it without counting; an equal
+    but distinct design is counted afresh.  A code's ``design`` keeps
+    its verdicts the same way.  A t outside 1..u raises on every call.
     """
     if t < 1:
         raise ValueError(f"strength t={t} must be positive")
@@ -106,19 +110,13 @@ def verify_design(design: SplittingDesign, t: int) -> VerificationResult:
     known = design.__dict__.setdefault("_verified", {})
     if t in known:
         return known[t]
-    blocks, v, runs = design.blocks, design.v, design.runs
-    # A developed list is well-shaped when its run-first blocks are (see
-    # the module docstring); defects are named by walking every block.
-    firsts = blocks if runs is None else [blocks[a] for a, _ in runs]
-    defects, c, u = construct._shape_defects(firsts, v)
-    if defects and runs:
-        defects, c, u = construct._shape_defects(blocks, v)
+    defects, c, u = design.shape
     if defects:
         result = VerificationResult(ok=False, params=None, defects=tuple(defects))
     elif t > u:
         raise ValueError(f"strength t={t} exceeds parts per block u={u}")
     else:
-        result = _verify_shaped(blocks, v, runs, t, c, u)
+        result = _verify_shaped(design.blocks, design.v, design.runs, t, c, u)
     known[t] = result
     return result
 

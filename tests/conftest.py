@@ -7,8 +7,11 @@ compare construction output against them rather than against itself.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+import splitauth.construct
 import splitauth.verify
 from splitauth import code_from_design, develop_cyclic, family_u2
 
@@ -94,3 +97,34 @@ def covered(monkeypatch):
 
     monkeypatch.setattr(splitauth.verify, "_coverage", counting)
     return calls
+
+
+@pytest.fixture()
+def checked(monkeypatch):
+    """The block count of every shape check made while the test runs."""
+    sizes = []
+    check = splitauth.construct._shape_defects
+
+    def counting(blocks, *args, **kwargs):
+        sizes.append(len(blocks))
+        return check(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(splitauth.construct, "_shape_defects", counting)
+    return sizes
+
+
+@pytest.fixture()
+def searched(monkeypatch):
+    """The block count of every developed-runs search made while the test runs."""
+    sizes = []
+    search = splitauth.construct.developed_runs
+
+    def recording(blocks, *args):
+        sizes.append(len(blocks))
+        return search(blocks, *args)
+
+    # every module that holds the search, under whatever name imported it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splitauth") and vars(module).get("developed_runs") is search:
+            monkeypatch.setattr(module, "developed_runs", recording)
+    return sizes

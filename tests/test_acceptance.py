@@ -8,6 +8,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -348,3 +350,22 @@ class TestBenchmarkSelftest:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "selftest passed" in proc.stdout
+
+
+class TestReadmeLibraryExample:
+    """README's Library example prints what the comments beside its
+    ``print`` calls say."""
+
+    def test_prints_match_comments(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        said = [
+            line.split("#", 1)[1].strip()
+            for line in block.splitlines()
+            if line.startswith("print(")
+        ]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            exec(block, {})
+        assert len(said) == 3
+        assert out.getvalue().splitlines() == said

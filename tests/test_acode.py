@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from splitauth import (
     SplittingACode,
     SplittingDesign,
+    analyze,
     code_from_design,
     develop_cyclic,
     family_u2,
@@ -159,6 +160,21 @@ class TestCodeFromDesign:
         assert verify_design(design, 2).ok
         assert code_from_design(design).rules == design.blocks
         assert covered == [(4, 2)]  # the 4 of 9 blocks through point 1
+
+    def test_design_is_handed_over(self, searched, covered):
+        design = develop_cyclic(family_u2(2, 1))
+        code = code_from_design(design)
+        assert code.design is design
+        analyze(code, 1)  # reads the runs and the pair verdict found on the design
+        assert searched == [9]
+        assert covered == [(4, 2)]
+
+    def test_design_made_on_first_use(self, checked):
+        code = SplittingACode(u=2, v=9, rules=TABLE1_RULES)
+        assert code.design is code.design
+        assert code.design == SplittingDesign(v=9, blocks=TABLE1_RULES)
+        assert verify_design(code.design, 2).params.lam == 1
+        assert checked == [9]  # the constructor's check: the design walks no shape
 
     def test_round_trip_preserves_blocks(self, table2_design, table2_code):
         assert SplittingDesign(v=17, blocks=table2_code.rules).blocks == (

@@ -492,20 +492,6 @@ class TestShapeCheckedOnce:
     its coverage once."""
 
     @pytest.fixture()
-    def checked(self, monkeypatch):
-        import splitauth.construct
-
-        sizes = []
-        check = splitauth.construct._shape_defects
-
-        def counting(blocks, *args, **kwargs):
-            sizes.append(len(blocks))
-            return check(blocks, *args, **kwargs)
-
-        monkeypatch.setattr(splitauth.construct, "_shape_defects", counting)
-        return sizes
-
-    @pytest.fixture()
     def counted(self, monkeypatch):
         import splitauth.verify
 
@@ -517,23 +503,6 @@ class TestShapeCheckedOnce:
             return count(blocks, *args)
 
         monkeypatch.setattr(splitauth.verify, "_verify_shaped", counting)
-        return sizes
-
-    @pytest.fixture()
-    def searched(self, monkeypatch):
-        import splitauth.construct
-
-        sizes = []
-        search = splitauth.construct.developed_runs
-
-        def recording(blocks, *args):
-            sizes.append(len(blocks))
-            return search(blocks, *args)
-
-        # every module that holds the search, under whatever name imported it
-        for name, module in list(sys.modules.items()):
-            if name.startswith("splitauth") and vars(module).get("developed_runs") is search:
-                monkeypatch.setattr(module, "developed_runs", recording)
         return sizes
 
     def test_analyze_searches_runs_once(self, table2_files, searched, capsys):
@@ -548,6 +517,30 @@ class TestShapeCheckedOnce:
         rc, _, _ = run_cli(["analyze", str(table2_files[2]), "--orders", str(orders)], capsys)
         assert rc == (0 if orders == 1 else 1)
         assert covered == [(8, orders + 1)]  # the 8 of 34 rules through message 1
+
+    def test_analyze_keeps_each_strength(self, covered, tmp_path, capsys, monkeypatch):
+        import splitauth.cli
+        from splitauth import verify_design
+
+        # {1}|{2}|{4} over Z_7 as rules: index 1 at strength 2, not a 3-design
+        target = tmp_path / "code.json"
+        rules = [[[j + 1], [(j + 1) % 7 + 1], [(j + 3) % 7 + 1]] for j in range(7)]
+        target.write_text(json.dumps({"u": 3, "v": 7, "rules": rules}))
+        loaded = []
+        load = splitauth.cli._load_code
+
+        def recording(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(splitauth.cli, "_load_code", recording)
+        rc, out, _ = run_cli(["analyze", str(target), "--orders", "2"], capsys)
+        assert rc == 1 and out.startswith("λ-uniformity: FAIL (subset (1, 2, 4)")
+        # strength 3 for the design line, then 2 for security, each once,
+        # over the 3 of 7 rules through message 1
+        assert covered == [(3, 3), (3, 2)]
+        assert verify_design(loaded[0].design, 3).witness == ((1, 2, 4), 1, 0)
+        assert covered == [(3, 3), (3, 2)]
 
     def test_demo_counts_coverage_once(self, covered, capsys):
         rc, _, _ = run_cli(["demo", "table1"], capsys)

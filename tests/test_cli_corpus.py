@@ -1,5 +1,8 @@
 """The CLI contract as a corpus: every case under ``golden/cli/`` is
-replayed in-process through ``main`` and must match byte for byte.
+replayed in-process through ``main`` and must match byte for byte.  The
+cases of ``PROCESS_CASES`` are replayed once more as child processes of
+``python -m splitauth``, so the exit code, stdout and stderr that a
+shell sees are held to the same bytes.
 
 A case is one directory:
 
@@ -28,6 +31,7 @@ import io
 import os
 import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -35,9 +39,11 @@ from pathlib import Path
 
 import pytest
 
+import splitauth
 from splitauth.cli import main
 
 CORPUS = Path(__file__).parent / "golden" / "cli"
+SOURCE = str(Path(splitauth.__file__).resolve().parents[1])
 EXPECTED = ("cmd", "stdin", "stdout", "stderr", "exit", "after")
 
 
@@ -56,35 +62,52 @@ def _inputs(case: Path) -> dict[str, bytes]:
     }
 
 
-def replay(case: Path) -> tuple[str, str, int, dict[str, bytes]]:
+def replay(case: Path, process: bool = False) -> tuple[bytes, bytes, int, dict[str, bytes]]:
     """Stdout, stderr, exit code and the working directory's files after
-    running ``case`` through ``main``."""
+    running ``case`` through ``main``, or through ``python -m splitauth``
+    with ``process``."""
     argv = shlex.split((case / "cmd").read_text())
-    stdin = case / "stdin"
-    stdout, stderr = io.StringIO(), io.StringIO()
-    here, saved_stdin = os.getcwd(), sys.stdin
+    stdin = (case / "stdin").read_bytes() if (case / "stdin").exists() else b""
     with tempfile.TemporaryDirectory() as work:
         for name, data in _inputs(case).items():
             (Path(work) / name).write_bytes(data)
-        os.chdir(work)
-        sys.stdin = io.StringIO(stdin.read_text() if stdin.exists() else "")
-        try:
-            with redirect_stdout(stdout), redirect_stderr(stderr):
-                rc = main(argv)
-        finally:
-            os.chdir(here)
-            sys.stdin = saved_stdin
-        return stdout.getvalue(), stderr.getvalue(), rc, _files(Path(work))
+        if process:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splitauth", *argv],
+                cwd=work,
+                input=stdin,
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=SOURCE),
+                timeout=60,
+            )
+            stdout, stderr, rc = proc.stdout, proc.stderr, proc.returncode
+        else:
+            stdout, stderr, rc = _in_process(argv, stdin.decode(), work)
+        return stdout, stderr, rc, _files(Path(work))
 
 
-def _expected(case: Path) -> tuple[str, str, int, dict[str, bytes]]:
+def _in_process(argv: list[str], stdin: str, work: str) -> tuple[bytes, bytes, int]:
+    out, err = io.StringIO(), io.StringIO()
+    here, saved_stdin = os.getcwd(), sys.stdin
+    os.chdir(work)
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        os.chdir(here)
+        sys.stdin = saved_stdin
+    return out.getvalue().encode(), err.getvalue().encode(), rc
+
+
+def _expected(case: Path) -> tuple[bytes, bytes, int, dict[str, bytes]]:
     after = case / "after"
     files = _inputs(case)
     if after.is_dir():
         files.update(_files(after))
     return (
-        (case / "stdout").read_bytes().decode(),
-        (case / "stderr").read_bytes().decode(),
+        (case / "stdout").read_bytes(),
+        (case / "stderr").read_bytes(),
         int((case / "exit").read_text()),
         dict(sorted(files.items())),
     )
@@ -92,15 +115,28 @@ def _expected(case: Path) -> tuple[str, str, int, dict[str, bytes]]:
 
 CASES = sorted(path.name for path in CORPUS.iterdir() if path.is_dir())
 
+# One case per subcommand and per exit code, with stdin, -o and strengths
+# other than 2 among them.
+PROCESS_CASES = (
+    "analyze-one-rule-orders-2",
+    "analyze-rule-dropped",
+    "demo-table1",
+    "develop-stdin",
+    "error-overflow-analyze",
+    "export-csv",
+    "gen-family",
+    "to-code-design-out",
+    "verify-family-strength-1",
+    "verify-family-strength-3",
+)
+
 
 def test_corpus_is_not_empty():
     assert len(CASES) >= 30
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_case(name):
-    case = CORPUS / name
-    stdout, stderr, rc, files = replay(case)
+def _check(case: Path, process: bool = False) -> None:
+    stdout, stderr, rc, files = replay(case, process)
     expected_stdout, expected_stderr, expected_rc, expected_files = _expected(case)
     assert stdout == expected_stdout
     assert stderr == expected_stderr
@@ -108,11 +144,28 @@ def test_case(name):
     assert files == expected_files
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_case(name):
+    _check(CORPUS / name)
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_process(name):
+    _check(CORPUS / name, process=True)
+
+
+def test_process_cases_cover_every_command_and_exit_code():
+    cases = [CORPUS / name for name in PROCESS_CASES]
+    commands = {shlex.split((case / "cmd").read_text())[0] for case in cases}
+    assert commands == {"gen-family", "develop", "verify", "to-code", "analyze", "export", "demo"}
+    assert {int((case / "exit").read_text()) for case in cases} == {0, 1, 2}
+
+
 def _record(case: Path) -> None:
     """Write ``case``'s expectations from what the code does now."""
     stdout, stderr, rc, files = replay(case)
-    (case / "stdout").write_bytes(stdout.encode())
-    (case / "stderr").write_bytes(stderr.encode())
+    (case / "stdout").write_bytes(stdout)
+    (case / "stderr").write_bytes(stderr)
     (case / "exit").write_text(f"{rc}\n")
     shutil.rmtree(case / "after", ignore_errors=True)
     inputs = _inputs(case)

@@ -911,7 +911,7 @@ class TestIndexOne:
     @given(code=index_1_codes())
     @settings(max_examples=120, deadline=None)
     def test_every_order(self, code):
-        assert code.pair_verdict.params.lam == 1
+        assert verify_design(code.design, 2).params.lam == 1
         for i in range(code.u + 1):
             assert outcome(deception_probability, code, i) == outcome(
                 reference.deception_probability, code, i
@@ -973,7 +973,7 @@ class TestIndexOne:
                 ),
             }
         code = SplittingACode(u=family.u, v=family.v, rules=rules, **dists)
-        params = code.pair_verdict.params
+        params = verify_design(code.design, 2).params
         assert params is None or params.lam != 1
         kept = _recorded_gain_walks(monkeypatch)
         for i in range(family.u):
@@ -1025,7 +1025,8 @@ class TestDuplicateAndHalve:
             source_dist=code.source_dist,
             split_dist=code.split_dist and _twice(code.split_dist),
         )
-        assert code.pair_verdict.params.lam == 1 and twin.pair_verdict.params.lam == 2
+        assert verify_design(code.design, 2).params.lam == 1
+        assert verify_design(twin.design, 2).params.lam == 2
         for i in (0, 1):
             assert deception_probability(twin, i) == deception_probability(code, i)
 

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-import splitauth.construct
 from splitauth import (
+    BaseBlockFamily,
     DesignParams,
     SplittingDesign,
     develop_cyclic,
@@ -201,20 +201,21 @@ class TestVerifiedOnce:
         assert verify_design(design, 1).ok
         assert covered == [(4, 2), (4, 1)]
 
-    def test_shape_defects_returned_again(self, monkeypatch):
-        checked = []
-        check = splitauth.construct._shape_defects
-
-        def counting(blocks, *args):
-            checked.append(len(blocks))
-            return check(blocks, *args)
-
-        monkeypatch.setattr(splitauth.construct, "_shape_defects", counting)
+    def test_shape_defects_returned_again(self, checked):
         design = SplittingDesign(v=9, blocks=(((1, 2), (2, 5)),))
         first = verify_design(design, 2)
         assert first.defects == ("block 1 repeats point 2",)
         assert verify_design(design, 2) == first
+        assert verify_design(design, 1) == first
         assert checked == [1]
+
+    def test_shape_checked_once_for_every_strength(self, checked, covered):
+        # {1}|{2}|{4} over Z_7: a 2-(7,7,3=1×3,1) design, but not a 3-design
+        design = develop_cyclic(BaseBlockFamily(v=7, u=3, c=1, base_blocks=(((1,), (2,), (4,)),)))
+        checked.clear()
+        assert [verify_design(design, t).ok for t in (1, 2, 3)] == [True, True, False]
+        assert checked == [1]  # the first block of the one run
+        assert covered == [(3, 1), (3, 2), (3, 3)]  # the 3 of 7 blocks through point 1
 
 
 class TestDowngradeCheck:
